@@ -279,6 +279,20 @@ mod tests {
     }
 
     #[test]
+    fn reset_refills_a_drained_mixed_fleet_to_full() {
+        let mut model = b1_plus_b2();
+        let fresh_key = model.memo_key().unwrap();
+        model.advance_job(0, 1_000_000, 2, 1).unwrap();
+        assert!(model.advance_job(1, 300, 2, 1).unwrap().completed);
+        assert_eq!(model.available(), vec![1]);
+        model.reset();
+        assert_eq!(model.state(), &MultiBatteryState::new_full(model.fleet()));
+        assert_eq!(model.memo_key().unwrap(), fresh_key);
+        assert_eq!(model.available(), vec![0, 1]);
+        assert!((model.total_charge() - 16.5).abs() < 1e-12);
+    }
+
+    #[test]
     fn mixed_fleet_batteries_are_never_symmetric() {
         let model = b1_plus_b2();
         // Both fresh, but different types: not interchangeable.

@@ -336,6 +336,143 @@ mod tests {
         assert!((model.total_charge() - drained).abs() < 1e-12);
     }
 
+    fn b1_plus_b2() -> RvDiffusion {
+        let fleet =
+            FleetSpec::new(vec![BatteryParams::itsy_b1(), BatteryParams::itsy_b2()]).unwrap();
+        RvDiffusion::from_fleet(&fleet, &Discretization::paper_default())
+    }
+
+    /// The per-cell reference the backend must reproduce: the active cell
+    /// serves through its own step table, then every other cell recovers
+    /// once by the consumed steps.
+    fn per_cell_reference(
+        cells: &mut [RvCell],
+        fleet: &RvFleet,
+        active: usize,
+        steps: u64,
+        interval: u32,
+        units: u32,
+    ) -> ModelAdvance {
+        if interval == 0 || units == 0 {
+            for (i, cell) in cells.iter_mut().enumerate() {
+                fleet.table_of(i).recover(cell, steps);
+            }
+            return ModelAdvance { steps_consumed: steps, completed: true };
+        }
+        let table = fleet.table_of(active);
+        if table.is_empty(&cells[active]) {
+            cells[active].mark_observed_empty();
+            return ModelAdvance { steps_consumed: 0, completed: false };
+        }
+        let advance = table.serve(&mut cells[active], steps, interval, units);
+        for (i, cell) in cells.iter_mut().enumerate() {
+            if i != active {
+                fleet.table_of(i).recover(cell, advance.steps_consumed);
+            }
+        }
+        ModelAdvance { steps_consumed: advance.steps_consumed, completed: advance.completed }
+    }
+
+    fn assert_cells_bit_identical(model: &RvDiffusion, reference: &[RvCell]) {
+        for (i, (cell, expected)) in model.cells().iter().zip(reference).enumerate() {
+            assert_eq!(cell.consumed_units(), expected.consumed_units(), "cell {i} consumed");
+            assert_eq!(cell.is_observed_empty(), expected.is_observed_empty(), "cell {i} retired");
+            for (a, b) in cell.moments().iter().zip(expected.moments()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "cell {i} moment bits diverged");
+            }
+        }
+    }
+
+    /// Drives the backend and the per-cell reference through an identical
+    /// seeded mix of jobs and idle periods, comparing every cell after
+    /// every epoch.
+    fn exercise_against_the_reference(mut model: RvDiffusion, seed: u64) {
+        let mut rng = workload::random::SplitMix64::new(seed);
+        let mut reference = model.cells().to_vec();
+        for _ in 0..150 {
+            if rng.next_index(4) == 0 {
+                let steps = rng.next_u64() % 2_000;
+                model.advance_idle(steps);
+                for (i, cell) in reference.iter_mut().enumerate() {
+                    model.fleet().table_of(i).recover(cell, steps);
+                }
+            } else {
+                let active = rng.next_index(model.battery_count());
+                let steps = rng.next_u64() % 3_000;
+                // 0 exercises the degenerate job that draws nothing.
+                let interval = u32::try_from(rng.next_index(5)).unwrap();
+                let units = u32::try_from(rng.next_index(3)).unwrap();
+                let advance = model.advance_job(active, steps, interval, units).unwrap();
+                let expected = per_cell_reference(
+                    &mut reference,
+                    model.fleet(),
+                    active,
+                    steps,
+                    interval,
+                    units,
+                );
+                assert_eq!(advance, expected);
+            }
+            assert_cells_bit_identical(&model, &reference);
+        }
+    }
+
+    #[test]
+    fn uniform_fleet_job_stepping_matches_the_per_cell_reference() {
+        exercise_against_the_reference(b1_pair(), 0xD5_0909);
+        exercise_against_the_reference(
+            RvDiffusion::new(&BatteryParams::itsy_b1(), &Discretization::paper_default(), 3),
+            11,
+        );
+    }
+
+    #[test]
+    fn mixed_fleet_job_stepping_matches_the_per_cell_reference() {
+        exercise_against_the_reference(b1_plus_b2(), 0xB1B2);
+        exercise_against_the_reference(b1_plus_b2(), 1234);
+    }
+
+    #[test]
+    fn a_retired_cell_serves_nothing_and_leaves_the_fleet_untouched() {
+        let mut model = b1_pair();
+        let death = model.advance_job(0, 1_000_000, 2, 1).unwrap();
+        assert!(!death.completed);
+        assert!(model.cells()[0].is_observed_empty());
+        assert!(!model.cells()[1].is_observed_empty(), "only the active cell retires");
+        assert!(!model.is_empty(1));
+
+        let before = model.save_state();
+        let again = model.advance_job(0, 100, 2, 1).unwrap();
+        assert_eq!(again, ModelAdvance { steps_consumed: 0, completed: false });
+        assert_cells_bit_identical(&model, &before);
+        assert!(model.advance_job(2, 100, 2, 1).is_err());
+        assert_cells_bit_identical(&model, &before);
+    }
+
+    #[test]
+    fn reset_refreshes_every_cell() {
+        let mut model = b1_plus_b2();
+        let fresh_key = model.memo_key().unwrap();
+        model.advance_job(0, 1_000_000, 2, 1).unwrap();
+        model.advance_job(1, 700, 2, 1).unwrap();
+        assert_ne!(model.memo_key().unwrap(), fresh_key);
+        model.reset();
+        let fresh: Vec<RvCell> = (0..2).map(|i| model.fleet().table_of(i).fresh_cell()).collect();
+        assert_cells_bit_identical(&model, &fresh);
+        assert_eq!(model.memo_key().unwrap(), fresh_key);
+    }
+
+    #[test]
+    fn memo_key_words_are_the_step_table_packing() {
+        let mut model = b1_pair();
+        model.advance_job(0, 250, 2, 1).unwrap();
+        model.advance_idle(37);
+        let words = model.cells().iter().enumerate().map(|(i, cell)| {
+            (model.type_of(i), model.fleet().table_of(i).state_word(cell).unwrap())
+        });
+        assert_eq!(model.memo_key(), StateKey::from_typed_words(words));
+    }
+
     #[test]
     fn degenerate_draw_pattern_is_idle_time() {
         let mut model = b1_pair();

@@ -9,7 +9,6 @@ use dkibam::Discretization;
 
 /// One assignment of a battery to a (portion of a) job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Assignment {
     /// Sequence number of the scheduling decision (0-based).
     pub decision_index: usize,
@@ -28,7 +27,6 @@ pub struct Assignment {
 
 /// The complete schedule of a simulation run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Schedule {
     /// The assignments in chronological order.
     pub assignments: Vec<Assignment>,
@@ -64,7 +62,6 @@ impl Schedule {
 
 /// The charge of one battery at one sample instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BatteryCharge {
     /// Total remaining charge `γ` (A·min).
     pub total: f64,
@@ -74,7 +71,6 @@ pub struct BatteryCharge {
 
 /// One sample of the whole system, as plotted in Figure 6.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemTracePoint {
     /// Sample time in minutes.
     pub time: f64,
@@ -88,7 +84,6 @@ pub struct SystemTracePoint {
 
 /// A sampled trace of a whole simulation run.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemTrace {
     /// The samples in time order.
     pub points: Vec<SystemTracePoint>,

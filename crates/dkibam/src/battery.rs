@@ -14,7 +14,6 @@ use kibam::BatteryParams;
 ///
 /// The emptiness criterion is Eq. 8: `c·n ≤ (1 - c)·m`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiscreteBattery {
     n_gamma: u32,
     m_delta: u32,
@@ -184,9 +183,9 @@ impl DiscreteBattery {
         self.recovery_clock = recovery_clock;
     }
 
-    /// Reassembles a battery from raw state components. The struct-of-arrays
-    /// [`batch`](crate::batch) lanes use this to unpack into the scalar form;
-    /// it is also handy for tests that need a battery mid-recovery.
+    /// Reassembles a battery from raw state components. The service-column
+    /// builder uses this to rebuild traced states; it is also handy for
+    /// tests that need a battery mid-recovery.
     #[must_use]
     pub fn from_raw_parts(
         n_gamma: u32,

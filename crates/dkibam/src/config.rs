@@ -23,7 +23,6 @@ use kibam::BatteryParams;
 /// assert_eq!(disc.charge_units(BatteryParams::itsy_b1().capacity()), 550);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Discretization {
     time_step: f64,
     charge_unit: f64,

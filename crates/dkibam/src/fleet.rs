@@ -102,13 +102,6 @@ impl DiscreteFleet {
     pub fn type_of(&self, index: usize) -> usize {
         self.spec.type_of(index)
     }
-
-    /// The per-type recovery tables, indexed by type-group id (the layout
-    /// the struct-of-arrays [`batch`](crate::batch) kernels consume).
-    #[must_use]
-    pub fn type_tables(&self) -> &[RecoveryTable] {
-        &self.tables
-    }
 }
 
 #[cfg(test)]

@@ -34,12 +34,11 @@
 //!   multi-battery system: per-battery parameters from a
 //!   [`kibam::FleetSpec`] plus one recovery table per battery type;
 //! * [`MultiBatteryState`](multi::MultiBatteryState) — the multi-battery
-//!   discrete state on which the schedulers of the `battery-sched` crate
-//!   (including the optimal one) operate;
-//! * [`DiscreteBatch`] — the same dynamics over N independent cells in
-//!   struct-of-arrays form, stepped by batch kernels that are bit-identical
-//!   to the scalar path (grid sweeps pack many scenario systems into one
-//!   batch).
+//!   discrete state and its one stepping kernel, on which the schedulers of
+//!   the `battery-sched` crate (including the optimal one) and the scenario
+//!   engine's grid sweeps operate: the active battery walks the draw
+//!   instants of a job, and the passive batteries recover once through the
+//!   consumed window.
 //!
 //! # Example
 //!
@@ -64,7 +63,6 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 mod battery;
 pub mod checked;
 mod column;
@@ -77,7 +75,6 @@ mod recovery;
 mod service;
 pub mod sim;
 
-pub use batch::DiscreteBatch;
 pub use battery::DiscreteBattery;
 pub use column::{ColumnBuilder, ServiceColumn, DEFAULT_FRONT_CAP};
 pub use config::Discretization;

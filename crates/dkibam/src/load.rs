@@ -13,7 +13,6 @@ const MAX_DRAW_INTERVAL: u32 = 10_000;
 /// epoch current `I = cur·Γ / (cur_times·T)` (Eq. 7). Idle epochs draw
 /// nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiscreteEpoch {
     duration_steps: u64,
     draw_interval_steps: u32,
@@ -97,7 +96,6 @@ impl DiscreteEpoch {
 /// model ("The three arrays are created using an external program", §4.1 —
 /// this type *is* that external program).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiscretizedLoad {
     epochs: Vec<DiscreteEpoch>,
     disc: Discretization,

@@ -36,7 +36,6 @@ pub struct JobAdvance {
 /// uniform fleets, but any mix is supported). The type is `Eq + Hash` so
 /// optimal-schedule searches can memoize visited states.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiBatteryState {
     batteries: Vec<DiscreteBattery>,
 }
@@ -170,6 +169,15 @@ impl MultiBatteryState {
     /// of steps that did elapse; the caller then re-schedules the remainder
     /// on another battery, mirroring the scheduler automaton of Figure 5(d).
     ///
+    /// Only the active battery walks the draw loop. The passive batteries
+    /// recover once through the whole consumed window afterwards: bulk
+    /// recovery composes additively ([`RecoveryTable::skip`] of `a` then `b`
+    /// equals a skip of `a + b`, because progress is an absolute position on
+    /// the recovery ladder), so this equals recovering them at every draw
+    /// instant.
+    ///
+    /// [`RecoveryTable::skip`]: crate::RecoveryTable::skip
+    ///
     /// # Errors
     ///
     /// Returns [`DkibamError::BatteryIndexOutOfRange`] if `active` is not a
@@ -194,8 +202,10 @@ impl MultiBatteryState {
             return Ok(JobAdvance { steps_consumed: steps, completed: true });
         }
         let active_params = fleet.params_of(active);
-        if self.batteries[active].is_empty(active_params) {
-            self.batteries[active].mark_observed_empty();
+        let active_table = fleet.table_of(active);
+        let battery = &mut self.batteries[active];
+        if battery.is_empty(active_params) {
+            battery.mark_observed_empty();
             return Ok(JobAdvance { steps_consumed: 0, completed: false });
         }
 
@@ -203,35 +213,40 @@ impl MultiBatteryState {
         let draws = steps / interval;
         let remainder = steps - draws * interval;
         let mut consumed = 0;
+        let mut completed = true;
         for _ in 0..draws {
-            for (i, battery) in self.batteries.iter_mut().enumerate() {
-                battery.advance_recovery(interval, fleet.table_of(i));
-            }
+            battery.advance_recovery(interval, active_table);
             consumed += interval;
             // As in the single-battery simulation, the emptiness condition is
             // checked at the draw instant both before and after the draw.
             #[cfg(debug_assertions)]
-            let n_before = self.batteries[active].charge_units();
-            if !self.batteries[active].is_empty(active_params) {
-                self.batteries[active].draw(units_per_draw);
+            let n_before = battery.charge_units();
+            if !battery.is_empty(active_params) {
+                battery.draw(units_per_draw);
             }
             // Charge conservation: a draw instant removes at most
             // `units_per_draw` units, all from the active battery.
             #[cfg(debug_assertions)]
             debug_assert!(
-                n_before - self.batteries[active].charge_units() <= units_per_draw,
+                n_before - battery.charge_units() <= units_per_draw,
                 "draw instant removed more than the configured draw"
             );
-            if self.batteries[active].is_empty(active_params) {
-                self.batteries[active].mark_observed_empty();
-                return Ok(JobAdvance { steps_consumed: consumed, completed: false });
+            if battery.is_empty(active_params) {
+                battery.mark_observed_empty();
+                completed = false;
+                break;
             }
         }
-        for (i, battery) in self.batteries.iter_mut().enumerate() {
-            battery.advance_recovery(remainder, fleet.table_of(i));
+        if completed {
+            battery.advance_recovery(remainder, active_table);
+            consumed += remainder;
         }
-        consumed += remainder;
-        Ok(JobAdvance { steps_consumed: consumed, completed: true })
+        for (i, passive) in self.batteries.iter_mut().enumerate() {
+            if i != active {
+                passive.advance_recovery(consumed, fleet.table_of(i));
+            }
+        }
+        Ok(JobAdvance { steps_consumed: consumed, completed })
     }
 }
 
@@ -384,6 +399,193 @@ mod tests {
         assert_eq!(state.available(&fleet), vec![1]);
         let advance = state.advance_job(1, 100, 2, 1, &fleet).unwrap();
         assert!(advance.completed);
+    }
+
+    fn b1_b2_b1() -> DiscreteFleet {
+        let (b1, b2) = (BatteryParams::itsy_b1(), BatteryParams::itsy_b2());
+        DiscreteFleet::new(
+            FleetSpec::new(vec![b1, b2, b1]).unwrap(),
+            Discretization::paper_default(),
+        )
+    }
+
+    /// The per-draw reference the kernel must reproduce: at every draw
+    /// instant *every* battery recovers through the elapsed interval, then
+    /// the active one draws, with Eq. 8 checked before and after the draw.
+    fn per_draw_reference(
+        batteries: &mut [DiscreteBattery],
+        fleet: &DiscreteFleet,
+        active: usize,
+        steps: u64,
+        draw_interval: u32,
+        units_per_draw: u32,
+    ) -> JobAdvance {
+        let recover_all = |batteries: &mut [DiscreteBattery], steps: u64| {
+            for (i, battery) in batteries.iter_mut().enumerate() {
+                battery.advance_recovery(steps, fleet.table_of(i));
+            }
+        };
+        if draw_interval == 0 || units_per_draw == 0 {
+            recover_all(batteries, steps);
+            return JobAdvance { steps_consumed: steps, completed: true };
+        }
+        let params = fleet.params_of(active);
+        if batteries[active].is_empty(params) {
+            batteries[active].mark_observed_empty();
+            return JobAdvance { steps_consumed: 0, completed: false };
+        }
+        let interval = u64::from(draw_interval);
+        let mut consumed = 0;
+        for _ in 0..steps / interval {
+            recover_all(batteries, interval);
+            consumed += interval;
+            if !batteries[active].is_empty(params) {
+                batteries[active].draw(units_per_draw);
+            }
+            if batteries[active].is_empty(params) {
+                batteries[active].mark_observed_empty();
+                return JobAdvance { steps_consumed: consumed, completed: false };
+            }
+        }
+        recover_all(batteries, steps % interval);
+        JobAdvance { steps_consumed: steps, completed: true }
+    }
+
+    #[test]
+    fn passive_batteries_recover_once_through_a_job_cut_short_by_a_death() {
+        let fleet = b1_b2_b1();
+        // A fresh B1 serves 500 mA until it dies (about 2 min, Table 3)
+        // while both passive batteries sit mid-recovery, clocks running.
+        let initial = vec![
+            DiscreteBattery::full(fleet.params_of(0), fleet.disc()),
+            DiscreteBattery::from_raw_parts(700, 90, 13, false),
+            DiscreteBattery::from_raw_parts(350, 60, 5, false),
+        ];
+        let mut state = MultiBatteryState::from_batteries(initial.clone());
+        let advance = state.advance_job(0, 1_001, 2, 1, &fleet).unwrap();
+        assert!(!advance.completed, "the active battery dies inside the job");
+        assert!(advance.steps_consumed > 0 && advance.steps_consumed < 1_001);
+        assert!(state.batteries()[0].is_observed_empty());
+
+        let mut reference = initial.clone();
+        let expected = per_draw_reference(&mut reference, &fleet, 0, 1_001, 2, 1);
+        assert_eq!(advance, expected);
+        for (i, battery) in state.batteries().iter().enumerate() {
+            assert_eq!(battery.state_word(), reference[i].state_word(), "battery {i}");
+        }
+        // Each passive battery sits exactly where one recovery advance by
+        // the consumed steps puts it.
+        for i in [1, 2] {
+            let mut recovered = initial[i];
+            recovered.advance_recovery(advance.steps_consumed, fleet.table_of(i));
+            assert_eq!(state.batteries()[i], recovered, "passive battery {i}");
+            assert!(state.batteries()[i].height_units() < initial[i].height_units());
+        }
+    }
+
+    /// Drives the kernel and the per-draw reference through an identical
+    /// seeded mix of jobs and idle periods, comparing every battery's state
+    /// word after every epoch.
+    fn exercise_against_the_reference(fleet: &DiscreteFleet, seed: u64) {
+        let mut rng = workload::random::SplitMix64::new(seed);
+        let mut state = MultiBatteryState::new_full(fleet);
+        let mut reference = state.batteries().to_vec();
+        for _ in 0..200 {
+            if rng.next_index(4) == 0 {
+                let steps = rng.next_u64() % 2_000;
+                state.advance_idle(steps, fleet);
+                for (i, battery) in reference.iter_mut().enumerate() {
+                    battery.advance_recovery(steps, fleet.table_of(i));
+                }
+            } else {
+                let active = rng.next_index(fleet.len());
+                let steps = rng.next_u64() % 3_000;
+                // 0 exercises the degenerate job that draws nothing.
+                let interval = u32::try_from(rng.next_index(5)).unwrap();
+                let units = u32::try_from(rng.next_index(3)).unwrap();
+                let advance = state.advance_job(active, steps, interval, units, fleet).unwrap();
+                let expected =
+                    per_draw_reference(&mut reference, fleet, active, steps, interval, units);
+                assert_eq!(advance, expected);
+            }
+            for (i, battery) in state.batteries().iter().enumerate() {
+                assert_eq!(battery.state_word(), reference[i].state_word(), "battery {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_fleet_job_stepping_matches_the_per_draw_reference() {
+        exercise_against_the_reference(&two_b1(), 0xD5_0909);
+        exercise_against_the_reference(
+            &DiscreteFleet::uniform(&BatteryParams::itsy_b1(), &Discretization::paper_default(), 3),
+            7,
+        );
+    }
+
+    #[test]
+    fn mixed_fleet_job_stepping_matches_the_per_draw_reference() {
+        exercise_against_the_reference(&b1_plus_b2(), 0xB1B2);
+        exercise_against_the_reference(&b1_b2_b1(), 42);
+    }
+
+    #[test]
+    fn large_fleet_job_stepping_matches_the_per_draw_reference() {
+        // More batteries than fit one 64-bit word of per-battery flags, so
+        // no fleet size is special to the kernel.
+        let fleet =
+            DiscreteFleet::uniform(&BatteryParams::itsy_b1(), &Discretization::paper_default(), 70);
+        exercise_against_the_reference(&fleet, 0x70);
+    }
+
+    #[test]
+    fn a_retired_battery_serves_nothing_and_leaves_the_fleet_untouched() {
+        let fleet = b1_plus_b2();
+        let mut state = MultiBatteryState::new_full(&fleet);
+        let advance = state.advance_job(0, 1_000_000, 2, 1, &fleet).unwrap();
+        assert!(!advance.completed);
+        assert!(state.batteries()[0].is_observed_empty());
+        assert!(!state.batteries()[1].is_observed_empty(), "only the active battery retires");
+        // The passive B2 recovered through the death window: still full,
+        // never drawn from.
+        assert_eq!(state.batteries()[1].charge_units(), 1100);
+
+        // Scheduling the retired battery again elapses no time, so nobody
+        // recovers either: the whole state stays bit-identical.
+        let before = state.clone();
+        let again = state.advance_job(0, 100, 2, 1, &fleet).unwrap();
+        assert_eq!(again, JobAdvance { steps_consumed: 0, completed: false });
+        assert_eq!(state, before);
+        assert_eq!(state.available(&fleet), vec![1]);
+    }
+
+    #[test]
+    fn an_out_of_range_job_leaves_the_state_untouched() {
+        let fleet = b1_plus_b2();
+        let mut state = MultiBatteryState::new_full(&fleet);
+        state.advance_job(1, 300, 2, 1, &fleet).unwrap();
+        let before = state.clone();
+        assert!(matches!(
+            state.advance_job(2, 100, 2, 1, &fleet),
+            Err(DkibamError::BatteryIndexOutOfRange { index: 2, count: 2 })
+        ));
+        assert_eq!(state, before);
+    }
+
+    #[test]
+    fn copy_from_refills_a_drained_state_to_full() {
+        let fleet = b1_b2_b1();
+        let full = MultiBatteryState::new_full(&fleet);
+        let mut state = full.clone();
+        state.advance_job(0, 100_000, 2, 1, &fleet).unwrap();
+        state.advance_job(1, 700, 2, 1, &fleet).unwrap();
+        assert_ne!(state, full);
+        state.copy_from(&full);
+        assert_eq!(state, full);
+        for (i, battery) in state.batteries().iter().enumerate() {
+            let fresh = DiscreteBattery::full(fleet.params_of(i), fleet.disc());
+            assert_eq!(battery.state_word(), fresh.state_word(), "battery {i}");
+        }
     }
 
     #[test]

@@ -46,7 +46,6 @@ const INVERSE_TABLE_LIMIT: u64 = 1 << 20;
 /// assert_eq!(table.skip(3, 0, table.steps(3).unwrap()), (2, 0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RecoveryTable {
     steps: Vec<Option<u64>>,
     /// `cumulative[m]` — time steps from `(m, clock 0)` all the way down to

@@ -6,17 +6,15 @@
 //! service is an endless stream of them. This module is the single front
 //! door over the runner:
 //!
-//! - [`GridRun`] is the options builder every `run_grid*` entry point
-//!   delegates to — collected, streamed, sharded and shared-cache runs all
-//!   route through one code path;
+//! - [`GridRun`] is the one grid entry point — collected, streamed,
+//!   sharded and shared-cache runs all route through one code path;
 //! - [`Request`]/[`Response`] are the line-protocol units the `served`
 //!   binary speaks: a request parses from one JSON object, and the response
 //!   carries either the same result row the batch engine emits or a typed
 //!   [`ServeError`];
 //! - [`run_requests`] answers a batch of requests **independently** (one
-//!   failing request does not poison its neighbors), micro-batching
-//!   compatible requests into one struct-of-arrays kernel pass exactly like
-//!   grid workers do.
+//!   failing request does not poison its neighbors) on one worker cache,
+//!   through the same per-cell path grid workers use.
 
 use crate::json::JsonValue;
 use crate::runner::{
@@ -32,12 +30,9 @@ use std::io::Write;
 use std::sync::Arc;
 use workload::paper_loads::TestLoad;
 
-/// An options builder for grid execution: the one path behind [`run_grid`],
-/// [`run_grid_streaming`] and [`run_grid_streaming_sharded`].
-///
-/// [`run_grid`]: crate::run_grid
-/// [`run_grid_streaming`]: crate::run_grid_streaming
-/// [`run_grid_streaming_sharded`]: crate::run_grid_streaming_sharded
+/// An options builder for grid execution, and the engine's one grid entry
+/// point: [`collect`](GridRun::collect) returns the results,
+/// [`stream`](GridRun::stream) writes them as JSON while the grid runs.
 ///
 /// # Example
 ///
@@ -537,20 +532,15 @@ impl Response {
     }
 }
 
-/// Answers a batch of requests against a worker cache, each request
-/// **independently** — a failing request yields an error response instead
-/// of poisoning the batch. Compatible requests (same system key and
-/// backend, deterministic policy) are grouped into one struct-of-arrays
-/// kernel pass, exactly like grid workers batch their chunks; this is the
-/// micro-batching a serving loop gets for free by draining its queue into
-/// one call.
+/// Answers a batch of requests against a worker cache, in order, each
+/// request **independently** — a failing request yields an error response
+/// instead of poisoning the batch. A serving loop drains its queue into one
+/// call, so the batch shares the cache's system tables.
 #[must_use]
 pub fn run_requests(requests: &[Request], cache: &mut WorkerCache) -> Vec<Response> {
-    let scenarios: Vec<Scenario> = requests.iter().map(|r| r.scenario.clone()).collect();
-    runner::run_cells(&scenarios, cache)
-        .into_iter()
-        .zip(requests)
-        .map(|(outcome, request)| match outcome {
+    requests
+        .iter()
+        .map(|request| match runner::run_scenario_with_cache(&request.scenario, cache) {
             Ok(result) => Response::ok(request.id.clone(), result),
             Err(error) => Response::failure(request.id.clone(), ServeError::from_engine(&error)),
         })
@@ -560,7 +550,7 @@ pub fn run_requests(requests: &[Request], cache: &mut WorkerCache) -> Vec<Respon
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_grid_with_threads, run_scenario};
+    use crate::runner::run_scenario;
 
     fn request_line(load: &str, policy: &str) -> String {
         format!(
@@ -717,7 +707,7 @@ mod tests {
     #[test]
     fn grid_run_with_shared_cache_matches_plain_grid() {
         let spec = ScenarioSpec::paper_table5();
-        let plain = run_grid_with_threads(&spec, 2).unwrap();
+        let plain = GridRun::new(&spec).threads(2).collect().unwrap();
         let shared = Arc::new(SharedSystemCache::new());
         let cached =
             GridRun::new(&spec).threads(2).shared_cache(Arc::clone(&shared)).collect().unwrap();

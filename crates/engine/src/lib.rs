@@ -6,7 +6,7 @@
 //! 1. describe a **grid** with a [`ScenarioSpec`] — battery fleets (uniform
 //!    `battery × count` sugar or heterogeneous `B1+B2` mixes) ×
 //!    discretizations × loads × policies × backends;
-//! 2. [`run_grid`] expands the grid and executes every cell **in parallel**
+//! 2. [`GridRun`] expands the grid and executes every cell **in parallel**
 //!    on scoped worker threads, through the backend-agnostic
 //!    [`battery_sched::model::BatteryModel`] simulation path;
 //! 3. results (and the spec itself) **round-trip through JSON** via the
@@ -16,7 +16,7 @@
 //! # Example
 //!
 //! ```
-//! use engine::{run_grid, BackendKind, BatterySpec, DiscSpec, FleetDef, LoadSpec,
+//! use engine::{BackendKind, BatterySpec, DiscSpec, FleetDef, GridRun, LoadSpec,
 //!              PolicyKind, ScenarioSpec};
 //! use workload::paper_loads::TestLoad;
 //!
@@ -32,7 +32,7 @@
 //!     policies: vec![PolicyKind::RoundRobin, PolicyKind::BestOfTwo],
 //!     backends: vec![BackendKind::Discretized],
 //! };
-//! let results = run_grid(&spec)?;
+//! let results = GridRun::new(&spec).collect()?;
 //! assert_eq!(results.len(), 8);
 //! // Table 5: round robin on ILs 500 lives about 10.48 minutes on 2 x B1.
 //! let rr = results
@@ -62,16 +62,15 @@
 #![forbid(unsafe_code)]
 
 pub mod api;
-mod batch;
 pub mod json;
 mod runner;
 mod spec;
 
 pub use api::{ErrorCode, GridRun, Request, RequestClass, Response, ServeError};
 pub use runner::{
-    results_from_json, results_to_json, run_grid, run_grid_streaming, run_grid_streaming_sharded,
-    run_grid_with_threads, run_scenario, run_scenario_with_cache, ScenarioResult, SearchStats,
-    SharedCacheStats, SharedSystemCache, StreamSummary, StreamingResultWriter, WorkerCache,
+    results_from_json, results_to_json, run_scenario, run_scenario_with_cache, ScenarioResult,
+    SearchStats, SharedCacheStats, SharedSystemCache, StreamSummary, StreamingResultWriter,
+    WorkerCache,
 };
 pub use spec::{
     BackendKind, BatterySpec, DiscSpec, FleetDef, LoadSpec, PolicyKind, Scenario, ScenarioSpec,

@@ -9,14 +9,21 @@
 //! workers stop claiming new chunks, and the first error **in grid order**
 //! is reported.
 //!
-//! Results can be collected ([`run_grid`]) or **streamed** as JSON while the
-//! grid is still running ([`run_grid_streaming`]): each result is written as
-//! one line the moment its grid-order turn arrives, so a 10⁵-cell sweep
-//! never materializes all results in memory. The streamed document is the
-//! same format [`results_to_json`] produces (modulo insignificant
-//! whitespace), so [`results_from_json`] parses both.
+//! Every cell, grid or request, runs through one path: the worker's cached
+//! backend instance for the cell's system, stepped by that backend's one
+//! multi-battery kernel (`dkibam`'s `MultiBatteryState` for the discretized
+//! KiBaM, the `rv` backend's `advance_job` for the diffusion model).
+//!
+//! Results can be collected ([`GridRun::collect`]) or **streamed** as JSON
+//! while the grid is still running ([`GridRun::stream`]): each result is
+//! written as one line the moment its grid-order turn arrives, so a
+//! 10⁵-cell sweep never materializes all results in memory. The streamed
+//! document is the same format [`results_to_json`] produces (modulo
+//! insignificant whitespace), so [`results_from_json`] parses both.
+//!
+//! [`GridRun::collect`]: crate::GridRun::collect
+//! [`GridRun::stream`]: crate::GridRun::stream
 
-use crate::batch::{BatchDiscreteView, BatchRvView};
 use crate::json::JsonValue;
 use crate::spec::{BackendKind, PolicyKind, Scenario, ScenarioSpec};
 use crate::EngineError;
@@ -24,7 +31,6 @@ use battery_sched::optimal::{OptimalOutcome, OptimalScheduler, RootBounds};
 use battery_sched::policy::FixedSchedule;
 use battery_sched::system::{simulate_policy_with, SystemConfig, SystemOutcome};
 use battery_sched::BatteryModel;
-use kibam::BatteryParams;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -32,9 +38,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, PoisonError, RwLock};
 use std::time::Instant;
 
-/// Scenarios per work chunk. Large enough to amortize the claim, the
-/// per-chunk channel send and the batch-kernel packing, small enough to keep
-/// workers balanced and the streaming reorder window shallow.
+/// Scenarios per work chunk. Large enough to amortize the claim and the
+/// per-chunk channel send, small enough to keep workers balanced and the
+/// streaming reorder window shallow.
 pub(crate) const DEFAULT_CHUNK_SIZE: usize = 16;
 
 /// Scenarios per chunk when the caller asks for auto-sizing (`chunk_size`
@@ -42,7 +48,7 @@ pub(crate) const DEFAULT_CHUNK_SIZE: usize = 16;
 /// four chunks per worker so the atomic cursor can re-balance stragglers,
 /// clamped to `1..=DEFAULT_CHUNK_SIZE` — small grids shrink to one scenario
 /// per claim (maximum balance), huge grids stop at the default so the
-/// streaming reorder window and the per-chunk batch stay shallow.
+/// streaming reorder window stays shallow.
 pub(crate) fn auto_chunk_size(grid: usize, workers: usize) -> usize {
     grid.div_ceil(workers.max(1) * 4).clamp(1, DEFAULT_CHUNK_SIZE)
 }
@@ -193,9 +199,10 @@ pub fn results_to_json(
 }
 
 /// Parses the `results` half of a document produced by [`results_to_json`]
-/// or [`run_grid_streaming`] back into summary rows. Scenario descriptors in
-/// results are denormalized (name strings), so the parse returns the raw
-/// JSON objects for callers that want specific fields.
+/// or [`GridRun::stream`](crate::GridRun::stream) back into summary rows.
+/// Scenario descriptors in results are denormalized (name strings), so the
+/// parse returns the raw JSON objects for callers that want specific
+/// fields.
 ///
 /// # Errors
 ///
@@ -439,7 +446,7 @@ pub fn run_scenario_with_cache(
     let profile = scenario.load.profile()?;
     let system = cache.system(scenario)?;
     let load = system.config.discretize(&profile)?;
-    execute_scalar(scenario, system, &load)
+    execute_cell(scenario, system, &load)
 }
 
 /// Probes the root bounds (timed — this is where the bound construction
@@ -458,10 +465,10 @@ fn probe_and_search<M: BatteryModel>(
     Ok((bounds, bound_micros, outcome))
 }
 
-/// Runs one prepared scenario on the cached scalar backend instances (the
-/// non-batched path: optimal searches and the continuous/ideal backends, and
-/// the reference the batched path is held bit-identical to).
-fn execute_scalar(
+/// Runs one prepared scenario on the cached backend instance its backend
+/// kind selects: a policy simulation, or an optimal search plus the replay
+/// of its decisions.
+fn execute_cell(
     scenario: &Scenario,
     system: &mut CachedSystem,
     load: &dkibam::DiscretizedLoad,
@@ -550,16 +557,6 @@ fn simulate_on_backend(
     })
 }
 
-/// Whether a scenario can run on the batched struct-of-arrays kernels: the
-/// deterministic policies on the discretized and RV backends (the hot cells
-/// of large sweeps). Optimal searches drive their backend through
-/// snapshot/restore from inside the scheduler, and the continuous/ideal
-/// backends have no batch form, so those stay on the scalar path.
-fn is_batchable(scenario: &Scenario) -> bool {
-    !matches!(scenario.policy, PolicyKind::Optimal { .. })
-        && matches!(scenario.backend, BackendKind::Discretized | BackendKind::Rv)
-}
-
 /// One executed chunk: results in chunk order up to the first error, and
 /// that error with its chunk-local offset.
 struct ChunkOutput {
@@ -567,197 +564,18 @@ struct ChunkOutput {
     error: Option<(usize, EngineError)>,
 }
 
-/// Builds the deterministic-policy result row from a finished simulation
-/// (shared by the scalar and batched paths, so the rows are assembled
-/// identically).
-fn deterministic_result(
-    scenario: &Scenario,
-    outcome: Result<SystemOutcome, battery_sched::SchedError>,
-    start: Instant,
-) -> Result<ScenarioResult, EngineError> {
-    let outcome = outcome?;
-    let wall_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    Ok(ScenarioResult {
-        scenario: scenario.clone(),
-        lifetime_minutes: outcome.lifetime_minutes(),
-        residual_charge: outcome.residual_charge(),
-        switches: outcome.schedule().switches() as u64,
-        decisions: outcome.schedule().assignments.len() as u64,
-        wall_micros,
-        search: None,
-        seeded_by: None,
-        root_bounds: None,
-        bound_micros: None,
-    })
-}
-
-/// Runs the batchable scenarios of one `(system, backend)` group: every
-/// member's fleet is packed as a lane range of one shared struct-of-arrays
-/// batch, and each member is simulated through a lane-range view — the batch
-/// kernels step all cells of a system through shared per-type tables. Writes
-/// each member's outcome at its chunk offset.
-fn run_batched_group(
-    scenarios: &[Scenario],
-    loads: &[Option<(dkibam::DiscretizedLoad, bool)>],
-    backend: BackendKind,
-    members: &[usize],
-    cache: &mut WorkerCache,
-    outcomes: &mut [Option<Result<ScenarioResult, EngineError>>],
-) {
-    let system = match cache.system(&scenarios[members[0]]) {
-        Ok(system) => &*system,
-        Err(error) => {
-            // Unreachable in practice: the prepare pass already built and
-            // cached this system. Keep the chunk sound anyway.
-            let mut members = members.iter();
-            if let Some(&first) = members.next() {
-                outcomes[first] = Some(Err(error));
-            }
-            for &offset in members {
-                outcomes[offset] = Some(Err(EngineError::InvalidSpec(
-                    "system vanished from the worker cache".into(),
-                )));
-            }
-            return;
-        }
-    };
-    match backend {
-        BackendKind::Discretized => {
-            let fleet = system.discretized.fleet();
-            let type_params: Vec<BatteryParams> =
-                (0..fleet.spec().type_count()).map(|t| *fleet.spec().type_params(t)).collect();
-            let mut batch = dkibam::DiscreteBatch::with_capacity(fleet.len() * members.len());
-            let lanes: Vec<_> = members.iter().map(|_| batch.push_fleet(fleet)).collect();
-            for (&offset, lanes) in members.iter().zip(lanes) {
-                // Members are drawn from prepared cells, so the load exists.
-                let Some((load, _)) = &loads[offset] else { continue };
-                let scenario = &scenarios[offset];
-                // xlint: allow(clock) -- wall_micros is measurement-only, excluded from --compare
-                let start = Instant::now();
-                let mut policy =
-                    // xlint: allow(panic) -- batching already filtered out optimal-policy cells
-                    scenario.policy.build().expect("batched cells never run the optimal policy");
-                let mut view = BatchDiscreteView::new(&mut batch, lanes, fleet, &type_params);
-                let outcome =
-                    simulate_policy_with(&system.config, load, policy.as_mut(), &mut view);
-                outcomes[offset] = Some(deterministic_result(scenario, outcome, start));
-            }
-        }
-        BackendKind::Rv => {
-            let fleet = system.rv.fleet();
-            let mut batch = rv::RvBatch::with_capacity(fleet.len() * members.len());
-            let lanes: Vec<_> = members.iter().map(|_| batch.push_fleet(fleet)).collect();
-            for (&offset, lanes) in members.iter().zip(lanes) {
-                // Members are drawn from prepared cells, so the load exists.
-                let Some((load, _)) = &loads[offset] else { continue };
-                let scenario = &scenarios[offset];
-                // xlint: allow(clock) -- wall_micros is measurement-only, excluded from --compare
-                let start = Instant::now();
-                let mut policy =
-                    // xlint: allow(panic) -- batching already filtered out optimal-policy cells
-                    scenario.policy.build().expect("batched cells never run the optimal policy");
-                let mut view = BatchRvView::new(&mut batch, lanes, fleet);
-                let outcome =
-                    simulate_policy_with(&system.config, load, policy.as_mut(), &mut view);
-                outcomes[offset] = Some(deterministic_result(scenario, outcome, start));
-            }
-        }
-        BackendKind::Continuous | BackendKind::Ideal => {
-            // xlint: allow(panic) -- the grouping pass admits only batchable backends
-            unreachable!("only discretized/rv scenarios are grouped for batching")
-        }
-    }
-}
-
-/// Runs every scenario of a slice against the worker's cache, each cell
-/// **independently**: one failing cell does not stop its siblings. This is
-/// the execution core shared by the grid path (which truncates at the first
-/// error, see [`run_chunk`]) and the request path ([`crate::api`], where
-/// every request deserves its own answer).
-///
-/// Loads and system tables are prepared per cell first, then batchable
-/// scenarios are grouped by `(system, backend)` and stepped on shared
-/// struct-of-arrays batches — this grouping is also what micro-batches
-/// compatible service requests into one kernel pass — while the rest run on
-/// the scalar path. Results come back in slice order, one per scenario.
-pub(crate) fn run_cells(
-    scenarios: &[Scenario],
-    cache: &mut WorkerCache,
-) -> Vec<Result<ScenarioResult, EngineError>> {
-    // Prepare pass: validate the system (building and caching its tables)
-    // and discretize the load; a setup failure becomes that cell's result.
-    let mut outcomes: Vec<Option<Result<ScenarioResult, EngineError>>> =
-        (0..scenarios.len()).map(|_| None).collect();
-    let mut prepared: Vec<Option<(dkibam::DiscretizedLoad, bool)>> =
-        Vec::with_capacity(scenarios.len());
-    for (offset, scenario) in scenarios.iter().enumerate() {
-        let load = scenario.load.profile().and_then(|profile| {
-            let system = cache.system(scenario)?;
-            Ok(system.config.discretize(&profile)?)
-        });
-        match load {
-            Ok(load) => prepared.push(Some((load, is_batchable(scenario)))),
-            Err(error) => {
-                outcomes[offset] = Some(Err(error));
-                prepared.push(None);
-            }
-        }
-    }
-
-    // Execute pass. Scalar scenarios first (each borrows the cache mutably),
-    // then the batched groups.
-    for (offset, scenario) in scenarios.iter().enumerate() {
-        let Some((load, batchable)) = &prepared[offset] else { continue };
-        if *batchable {
-            continue;
-        }
-        let outcome =
-            cache.system(scenario).and_then(|system| execute_scalar(scenario, system, load));
-        outcomes[offset] = Some(outcome);
-    }
-    // Group by cached system and backend, in first-appearance order; chunks
-    // hold at most DEFAULT_CHUNK_SIZE scenarios (and service micro-batches
-    // stay similarly small), so a linear scan is cheaper than hashing.
-    let mut groups: Vec<(SystemKey, BackendKind, Vec<usize>)> = Vec::new();
-    for (offset, scenario) in scenarios.iter().enumerate() {
-        if !matches!(&prepared[offset], Some((_, true))) {
-            continue;
-        }
-        let key = SystemKey::of(scenario);
-        match groups.iter_mut().find(|(k, b, _)| *k == key && *b == scenario.backend) {
-            Some((_, _, members)) => members.push(offset),
-            None => groups.push((key, scenario.backend, vec![offset])),
-        }
-    }
-    for (_, backend, members) in groups {
-        run_batched_group(scenarios, &prepared, backend, &members, cache, &mut outcomes);
-    }
-
-    outcomes
-        .into_iter()
-        .map(|outcome| {
-            // xlint: allow(panic) -- the prepare/scalar/batched passes above fill every slot
-            outcome.expect("every scenario is executed")
-        })
-        .collect()
-}
-
 /// Runs one chunk of scenarios with **grid semantics**: results in chunk
-/// order up to the first error, so the grid-order contract of the runner is
-/// preserved exactly.
+/// order up to the first error, where the chunk stops, so the grid-order
+/// contract of the runner is preserved exactly.
 fn run_chunk(scenarios: &[Scenario], cache: &mut WorkerCache) -> ChunkOutput {
     let mut results = Vec::with_capacity(scenarios.len());
-    let mut error = None;
-    for (offset, outcome) in run_cells(scenarios, cache).into_iter().enumerate() {
-        match outcome {
+    for (offset, scenario) in scenarios.iter().enumerate() {
+        match run_scenario_with_cache(scenario, cache) {
             Ok(result) => results.push(result),
-            Err(e) => {
-                error = Some((offset, e));
-                break;
-            }
+            Err(e) => return ChunkOutput { results, error: Some((offset, e)) },
         }
     }
-    ChunkOutput { results, error }
+    ChunkOutput { results, error: None }
 }
 
 /// One completed chunk of grid work, sent from a worker to the coordinator.
@@ -807,20 +625,18 @@ pub(crate) fn run_chunked(
     let chunk_size =
         if chunk_size == 0 { auto_chunk_size(scenarios.len(), workers) } else { chunk_size };
     if workers <= 1 || scenarios.len() <= chunk_size {
-        // Inline execution: grid order is the execution order. Chunks still
-        // apply so the inline path batches exactly like workers do.
+        // Inline execution: grid order is the execution order.
         let mut cache = worker_cache(shared);
         let mut executed = 0;
-        for chunk in scenarios.chunks(chunk_size) {
-            let output = run_chunk(chunk, &mut cache);
-            executed += output.results.len() + usize::from(output.error.is_some());
-            for result in output.results {
-                if !sink(result) {
-                    return ChunkedOutcome { executed, error: None };
+        for scenario in scenarios {
+            executed += 1;
+            match run_scenario_with_cache(scenario, &mut cache) {
+                Ok(result) => {
+                    if !sink(result) {
+                        return ChunkedOutcome { executed, error: None };
+                    }
                 }
-            }
-            if let Some((_, error)) = output.error {
-                return ChunkedOutcome { executed, error: Some(error) };
+                Err(error) => return ChunkedOutcome { executed, error: Some(error) },
             }
         }
         return ChunkedOutcome { executed, error: None };
@@ -905,31 +721,6 @@ pub(crate) fn run_chunked(
     ChunkedOutcome { executed, error: first_error }
 }
 
-/// Runs every scenario of the grid in parallel and returns the results in
-/// grid order. Uses one worker per available CPU (capped by the number of
-/// scenarios).
-///
-/// # Errors
-///
-/// Returns the first scenario error encountered (in grid order).
-pub fn run_grid(spec: &ScenarioSpec) -> Result<Vec<ScenarioResult>, EngineError> {
-    crate::api::GridRun::new(spec).collect()
-}
-
-/// Like [`run_grid`] with an explicit worker count (1 runs inline). A
-/// failing cell poisons the grid: workers stop claiming chunks, and the
-/// first error in grid order is returned.
-///
-/// # Errors
-///
-/// Same as [`run_grid`].
-pub fn run_grid_with_threads(
-    spec: &ScenarioSpec,
-    threads: usize,
-) -> Result<Vec<ScenarioResult>, EngineError> {
-    crate::api::GridRun::new(spec).threads(threads).collect()
-}
-
 /// Summary of a streamed grid run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamSummary {
@@ -997,65 +788,15 @@ impl<W: Write> StreamingResultWriter<W> {
     }
 }
 
-/// Runs the grid in parallel and **streams** results to `out` in grid order
-/// as they complete, without materializing the full result set: memory use
-/// is bounded by the out-of-order window (roughly `threads` chunks), not by
-/// the grid size. `chunk_size` of `None` uses the default; `Some(0)` asks
-/// for auto-sizing from the grid size and worker count (see
-/// `auto_chunk_size` in this module for the heuristic).
-///
-/// # Errors
-///
-/// Returns the first scenario error in grid order (the stream then holds a
-/// truncated, unterminated document), or [`EngineError::Io`] if writing
-/// fails.
-pub fn run_grid_streaming<W: Write>(
-    spec: &ScenarioSpec,
-    threads: usize,
-    chunk_size: Option<usize>,
-    out: W,
-) -> Result<StreamSummary, EngineError> {
-    run_grid_streaming_sharded(spec, threads, chunk_size, None, out)
-}
-
 /// The default worker count of a grid run: one per available CPU.
 pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
 
-/// Like [`run_grid_streaming`], restricted to one **shard** of the grid:
-/// `Some((index, count))` runs the contiguous expanded-grid index range
-/// `[index·len/count, (index+1)·len/count)`, so `count` processes — each
-/// handed its own shard index — partition a grid with no coordination, and
-/// the concatenation of their result rows (in shard order) is exactly the
-/// unsharded grid in grid order. Every shard document carries the *full*
-/// grid spec, which is what lets a merge step verify the shards belong
-/// together. `None` runs the whole grid.
-///
-/// # Errors
-///
-/// Returns [`EngineError::InvalidSpec`] for an out-of-range shard
-/// (`index >= count` or `count == 0`); otherwise as [`run_grid_streaming`].
-pub fn run_grid_streaming_sharded<W: Write>(
-    spec: &ScenarioSpec,
-    threads: usize,
-    chunk_size: Option<usize>,
-    shard: Option<(usize, usize)>,
-    out: W,
-) -> Result<StreamSummary, EngineError> {
-    let mut run = crate::api::GridRun::new(spec).threads(threads);
-    if let Some(chunk) = chunk_size {
-        run = run.chunk(chunk);
-    }
-    if let Some((index, count)) = shard {
-        run = run.shard(index, count);
-    }
-    run.stream(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::GridRun;
     use crate::spec::{BatterySpec, DiscSpec, FleetDef, LoadSpec, PolicyKind};
     use workload::paper_loads::TestLoad;
 
@@ -1079,8 +820,8 @@ mod tests {
     #[test]
     fn grid_runs_in_parallel_and_matches_serial_execution() {
         let spec = small_grid();
-        let serial = run_grid_with_threads(&spec, 1).unwrap();
-        let parallel = run_grid_with_threads(&spec, 4).unwrap();
+        let serial = GridRun::new(&spec).threads(1).collect().unwrap();
+        let parallel = GridRun::new(&spec).threads(4).collect().unwrap();
         assert_eq!(serial.len(), 8);
         assert_eq!(parallel.len(), 8);
         for (a, b) in serial.iter().zip(&parallel) {
@@ -1093,7 +834,7 @@ mod tests {
     #[test]
     fn results_match_the_paper_through_the_engine() {
         let spec = small_grid();
-        let results = run_grid(&spec).unwrap();
+        let results = GridRun::new(&spec).collect().unwrap();
         let rr_ils500 = results
             .iter()
             .find(|r| {
@@ -1107,7 +848,7 @@ mod tests {
     #[test]
     fn result_set_round_trips_through_json() {
         let spec = small_grid();
-        let results = run_grid(&spec).unwrap();
+        let results = GridRun::new(&spec).collect().unwrap();
         let json = results_to_json(&spec, &results).unwrap();
         let (spec_back, raw_results) = results_from_json(&json).unwrap();
         assert_eq!(spec_back, spec);
@@ -1128,7 +869,7 @@ mod tests {
         let mut spec = small_grid();
         spec.backends = vec![BackendKind::Continuous];
         spec.loads.truncate(2);
-        let results = run_grid(&spec).unwrap();
+        let results = GridRun::new(&spec).collect().unwrap();
         assert_eq!(results.len(), 4);
         for result in &results {
             assert!(result.lifetime_minutes.unwrap() > 1.0);
@@ -1140,7 +881,7 @@ mod tests {
         let mut spec = small_grid();
         spec.batteries =
             vec![BatterySpec { name: "bad".into(), capacity: -5.0, c: 0.2, k_prime: 0.1 }];
-        assert!(run_grid(&spec).is_err());
+        assert!(GridRun::new(&spec).collect().is_err());
     }
 
     #[test]
@@ -1149,7 +890,7 @@ mod tests {
         spec.discretizations = vec![DiscSpec::coarse()];
         spec.loads = vec![LoadSpec::Paper(TestLoad::IlsAlt)];
         spec.policies = vec![PolicyKind::BestOfTwo, PolicyKind::optimal()];
-        let results = run_grid(&spec).unwrap();
+        let results = GridRun::new(&spec).collect().unwrap();
         assert_eq!(results.len(), 2);
         let best = &results[0];
         let optimal = &results[1];
@@ -1173,7 +914,7 @@ mod tests {
         spec.loads = vec![LoadSpec::Paper(TestLoad::Cl500)];
         spec.policies = vec![PolicyKind::RoundRobin];
         spec.backends = vec![BackendKind::Discretized, BackendKind::Ideal];
-        let results = run_grid(&spec).unwrap();
+        let results = GridRun::new(&spec).collect().unwrap();
         assert_eq!(results.len(), 2);
         let kibam = results[0].lifetime_minutes.unwrap();
         let ideal = results[1].lifetime_minutes.unwrap();
@@ -1191,7 +932,7 @@ mod tests {
         spec.loads = vec![LoadSpec::Paper(TestLoad::Cl500), LoadSpec::Paper(TestLoad::IlsAlt)];
         spec.policies = vec![PolicyKind::RoundRobin, PolicyKind::BestOfTwo];
         spec.backends = vec![BackendKind::Discretized, BackendKind::Rv];
-        let results = run_grid(&spec).unwrap();
+        let results = GridRun::new(&spec).collect().unwrap();
         assert_eq!(results.len(), 8);
         for pair in results.chunks(2) {
             let (kibam, rv) = (&pair[0], &pair[1]);
@@ -1217,7 +958,7 @@ mod tests {
         spec.loads = vec![LoadSpec::Paper(TestLoad::IlsAlt)];
         spec.policies = vec![PolicyKind::BestOfTwo, PolicyKind::optimal()];
         spec.backends = vec![BackendKind::Rv];
-        let results = run_grid(&spec).unwrap();
+        let results = GridRun::new(&spec).collect().unwrap();
         let best = &results[0];
         let optimal = &results[1];
         let stats = optimal.search.expect("optimal cells report search stats");
@@ -1240,7 +981,7 @@ mod tests {
         };
         // Round-trip the grid through JSON first, as a driver script would.
         let spec = ScenarioSpec::from_json(&spec.to_json().unwrap()).unwrap();
-        let results = run_grid(&spec).unwrap();
+        let results = GridRun::new(&spec).collect().unwrap();
         assert_eq!(results.len(), 2);
         let best = &results[0];
         let optimal = &results[1];
@@ -1259,7 +1000,7 @@ mod tests {
         let mut spec = small_grid();
         spec.discretizations = vec![DiscSpec::coarse()];
         spec.policies = vec![PolicyKind::Optimal { budget: 1 }];
-        let error = run_grid(&spec).unwrap_err();
+        let error = GridRun::new(&spec).collect().unwrap_err();
         assert!(error.to_string().contains("budget"), "{error}");
     }
 
@@ -1278,12 +1019,91 @@ mod tests {
         assert_eq!(cache.systems.len(), 1);
     }
 
+    /// Every answer-bearing field of two results, timing excepted.
+    fn assert_same_answer(a: &ScenarioResult, b: &ScenarioResult) {
+        assert_eq!(a.scenario, b.scenario);
+        assert_eq!(a.lifetime_minutes.map(f64::to_bits), b.lifetime_minutes.map(f64::to_bits));
+        assert_eq!(a.residual_charge.to_bits(), b.residual_charge.to_bits());
+        assert_eq!(a.switches, b.switches);
+        assert_eq!(a.decisions, b.decisions);
+        assert_eq!(a.search, b.search);
+    }
+
+    /// Two-battery B1 and B1+B2 systems, every backend, loads that drain
+    /// the batteries to death.
+    fn two_system_grid() -> ScenarioSpec {
+        let mut spec = small_grid();
+        spec.fleets = vec![FleetDef {
+            name: "B1+B2".into(),
+            batteries: vec![BatterySpec::b1(), BatterySpec::b2()],
+        }];
+        spec.loads = vec![LoadSpec::Paper(TestLoad::Cl500), LoadSpec::Paper(TestLoad::IlsAlt)];
+        spec.backends = vec![
+            BackendKind::Discretized,
+            BackendKind::Continuous,
+            BackendKind::Rv,
+            BackendKind::Ideal,
+        ];
+        spec
+    }
+
+    #[test]
+    fn worker_cache_reuse_is_exact_on_every_backend() {
+        let scenarios = two_system_grid().expand();
+        let mut cache = WorkerCache::new();
+        // Twice through: the second pass runs every backend after a cell
+        // that left it drained.
+        for _ in 0..2 {
+            for scenario in &scenarios {
+                let cached = run_scenario_with_cache(scenario, &mut cache).unwrap();
+                assert_same_answer(&cached, &run_scenario(scenario).unwrap());
+            }
+        }
+        assert_eq!(cache.systems.len(), 2);
+    }
+
+    #[test]
+    fn sibling_systems_in_one_worker_cache_stay_independent() {
+        let scenarios = two_system_grid().expand();
+        let (uniform, mixed) = scenarios.split_at(scenarios.len() / 2);
+        assert!(uniform.iter().all(|s| s.fleet.batteries.len() == 2 && s.fleet.name == "2xB1"));
+        assert!(mixed.iter().all(|s| s.fleet.name == "B1+B2"));
+        // Alternate between the two systems so each cell runs right after
+        // a cell that drained the other system's backends.
+        let mut cache = WorkerCache::new();
+        for (a, b) in uniform.iter().zip(mixed) {
+            for scenario in [a, b] {
+                let cached = run_scenario_with_cache(scenario, &mut cache).unwrap();
+                assert_same_answer(&cached, &run_scenario(scenario).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn worker_runs_never_mutate_the_shared_prototypes() {
+        let scenarios = two_system_grid().expand();
+        let shared = Arc::new(SharedSystemCache::new());
+        let mut first = WorkerCache::with_shared(Arc::clone(&shared));
+        for scenario in &scenarios {
+            run_scenario_with_cache(scenario, &mut first).unwrap();
+        }
+        // A second worker starts from the shared prototypes the first one
+        // cloned and drained: its answers must still equal one-off runs.
+        let mut second = WorkerCache::with_shared(Arc::clone(&shared));
+        for scenario in scenarios.iter().rev() {
+            let cached = run_scenario_with_cache(scenario, &mut second).unwrap();
+            assert_same_answer(&cached, &run_scenario(scenario).unwrap());
+        }
+        let stats = shared.stats();
+        assert_eq!((stats.systems, stats.builds), (2, 2));
+    }
+
     #[test]
     fn streamed_grid_matches_collected_grid() {
         let spec = small_grid();
-        let collected = run_grid_with_threads(&spec, 4).unwrap();
+        let collected = GridRun::new(&spec).threads(4).collect().unwrap();
         let mut buffer = Vec::new();
-        let summary = run_grid_streaming(&spec, 4, Some(2), &mut buffer).unwrap();
+        let summary = GridRun::new(&spec).threads(4).chunk(2).stream(&mut buffer).unwrap();
         assert_eq!(summary.written, collected.len());
         let text = String::from_utf8(buffer).unwrap();
         let (spec_back, raw_results) = results_from_json(&text).unwrap();
@@ -1298,14 +1118,17 @@ mod tests {
     #[test]
     fn shards_partition_the_grid_exactly() {
         let spec = small_grid();
-        let unsharded = run_grid_with_threads(&spec, 2).unwrap();
+        let unsharded = GridRun::new(&spec).threads(2).collect().unwrap();
         // Three shards over eight scenarios: 2 + 3 + 3.
         let mut rows = Vec::new();
         for index in 0..3 {
             let mut buffer = Vec::new();
-            let summary =
-                run_grid_streaming_sharded(&spec, 2, Some(2), Some((index, 3)), &mut buffer)
-                    .unwrap();
+            let summary = GridRun::new(&spec)
+                .threads(2)
+                .chunk(2)
+                .shard(index, 3)
+                .stream(&mut buffer)
+                .unwrap();
             let text = String::from_utf8(buffer).unwrap();
             let (spec_back, shard_rows) = results_from_json(&text).unwrap();
             assert_eq!(spec_back, spec, "every shard carries the full grid spec");
@@ -1323,11 +1146,9 @@ mod tests {
             );
         }
         // Out-of-range shards are rejected up front.
-        let error =
-            run_grid_streaming_sharded(&spec, 1, None, Some((3, 3)), Vec::new()).unwrap_err();
+        let error = GridRun::new(&spec).threads(1).shard(3, 3).stream(Vec::new()).unwrap_err();
         assert!(error.to_string().contains("out of range"), "{error}");
-        let error =
-            run_grid_streaming_sharded(&spec, 1, None, Some((0, 0)), Vec::new()).unwrap_err();
+        let error = GridRun::new(&spec).threads(1).shard(0, 0).stream(Vec::new()).unwrap_err();
         assert!(error.to_string().contains("out of range"), "{error}");
     }
 
@@ -1337,10 +1158,10 @@ mod tests {
         assert_eq!(auto_chunk_size(0, 4), 1, "empty grids still get a positive chunk");
         assert_eq!(auto_chunk_size(129, 4), 9, "mid grids target four chunks per worker");
         assert_eq!(auto_chunk_size(1_000_000, 8), DEFAULT_CHUNK_SIZE, "huge grids cap at default");
-        // `Some(0)` through the public streaming API selects the heuristic.
+        // `chunk(0)` through the public streaming API selects the heuristic.
         let spec = small_grid();
         let mut buffer = Vec::new();
-        let summary = run_grid_streaming(&spec, 4, Some(0), &mut buffer).unwrap();
+        let summary = GridRun::new(&spec).threads(4).chunk(0).stream(&mut buffer).unwrap();
         assert_eq!(summary.written, 8);
     }
 
@@ -1380,15 +1201,10 @@ mod tests {
         spec.loads = (0..1000).map(|seed| LoadSpec::random_paper_levels(seed, 20)).collect();
         let scenarios = spec.expand();
 
-        // Inline path: execution stops within the chunk whose first result
-        // is refused (scenarios are executed one chunk at a time).
+        // Inline path: execution stops at the first refused result.
         let outcome = run_chunked(&scenarios, 1, 16, None, |_| false);
         assert!(outcome.error.is_none());
-        assert!(
-            outcome.executed <= 16,
-            "inline execution stops after the refusing chunk (executed {})",
-            outcome.executed
-        );
+        assert_eq!(outcome.executed, 1, "inline execution stops at the refused result");
 
         // Parallel path: in-flight chunks may finish, but the grid never
         // runs to completion.
@@ -1412,7 +1228,7 @@ mod tests {
             BatterySpec { name: "bad-b".into(), capacity: -7.0, c: 0.2, k_prime: 0.1 },
         ];
         for threads in [1, 4] {
-            let error = run_grid_with_threads(&spec, threads).unwrap_err();
+            let error = GridRun::new(&spec).threads(threads).collect().unwrap_err();
             assert!(error.to_string().contains("-5"), "got: {error}");
         }
     }

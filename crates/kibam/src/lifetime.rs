@@ -18,7 +18,6 @@ const MAX_SEGMENTS: usize = 10_000_000;
 /// `current` is in amperes, `duration` in minutes. A zero current models an
 /// idle (recovery) period.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     current: f64,
     duration: f64,
@@ -80,7 +79,6 @@ impl Segment {
 
 /// Outcome of a lifetime computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LifetimeResult {
     /// Time (minutes from the start of the load) at which the battery first
     /// became empty.

@@ -29,7 +29,6 @@ use crate::{KibamError, TwoWellState};
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BatteryParams {
     capacity: f64,
     c: f64,

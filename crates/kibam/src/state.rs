@@ -18,7 +18,6 @@ use crate::{BatteryParams, KibamError, CHARGE_EPSILON};
 /// assert!((full.total() - b1.capacity()).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TwoWellState {
     available: f64,
     bound: f64,
@@ -91,7 +90,6 @@ impl TwoWellState {
 /// with the drawn current while `δ` follows a first-order relaxation, and the
 /// battery is empty exactly when `γ = (1 - c) · δ` (Eq. 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransformedState {
     /// Height difference `δ` between the bound- and available-charge wells.
     pub delta: f64,

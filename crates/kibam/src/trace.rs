@@ -12,7 +12,6 @@ use crate::{BatteryParams, KibamError, TransformedState, TwoWellState};
 
 /// One sample of a charge trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TracePoint {
     /// Absolute time of the sample, in minutes.
     pub time: f64,
@@ -26,7 +25,6 @@ pub struct TracePoint {
 
 /// A sampled trajectory of a single battery under a load.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     /// The samples, in increasing time order, spaced by the sampling step.
     pub points: Vec<TracePoint>,

@@ -5,7 +5,6 @@ use crate::PtaError;
 
 /// Identifier of a location within one automaton.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LocationId(pub(crate) usize);
 
 impl LocationId {
@@ -18,7 +17,6 @@ impl LocationId {
 
 /// Identifier of a channel declared in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelId(pub(crate) usize);
 
 impl ChannelId {
@@ -36,7 +34,6 @@ impl ChannelId {
 /// the *committed* flag (no delay may happen and committed locations have
 /// priority, as in Uppaal/Cora).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Location {
     name: String,
     invariant: BoolExpr,
@@ -106,7 +103,6 @@ impl Location {
 
 /// Direction of a synchronisation: `c!` (send) or `c?` (receive).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SyncDirection {
     /// The sending side (`channel!`).
     Send,
@@ -116,7 +112,6 @@ pub enum SyncDirection {
 
 /// A synchronisation label on an edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Sync {
     /// The channel synchronised on.
     pub channel: ChannelId,
@@ -126,7 +121,6 @@ pub struct Sync {
 
 /// An assignment `variable := expression` performed when an edge fires.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Update {
     /// The variable being assigned.
     pub target: VarId,
@@ -136,7 +130,6 @@ pub struct Update {
 
 /// A switch (edge) of a timed automaton.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Edge {
     source: LocationId,
     target: LocationId,
@@ -252,7 +245,6 @@ impl Edge {
 /// A single timed automaton: a set of locations and edges plus an initial
 /// location.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Automaton {
     name: String,
     locations: Vec<Location>,

@@ -15,7 +15,6 @@ use crate::PtaError;
 
 /// The label of a transition between two global states.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TransitionLabel {
     /// One discrete time step elapsed.
     Delay,

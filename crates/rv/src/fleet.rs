@@ -101,13 +101,6 @@ impl RvFleet {
     pub fn type_of(&self, index: usize) -> usize {
         self.spec.type_of(index)
     }
-
-    /// The per-type correction tables, indexed by type-group id (the layout
-    /// the struct-of-arrays [`batch`](crate::batch) kernels consume).
-    #[must_use]
-    pub fn type_tables(&self) -> &[RvStepTable] {
-        &self.tables
-    }
 }
 
 #[cfg(test)]

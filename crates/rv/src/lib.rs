@@ -36,15 +36,15 @@
 //!   moments, emptiness observed at draw instants), with the per-type
 //!   correction table cached like `dkibam`'s recovery table;
 //! * [`RvFleet`] — the static side of a (possibly heterogeneous)
-//!   multi-battery system, one table per battery type;
-//! * [`RvBatch`] — the same stepping form over N independent cells in
-//!   struct-of-arrays form, driven by batch kernels that share the scalar
-//!   path's raw serve/recover routines (bit-identical states).
+//!   multi-battery system, one table per battery type.
 //!
 //! The `battery-sched` crate wires the stepping form in as the `rv`
 //! backend of its `BatteryModel` trait, which puts every scheduling policy,
 //! the scenario engine and the optimal branch-and-bound search on this
-//! model unchanged.
+//! model unchanged. That backend's `advance_job` is the model's one
+//! multi-battery stepping routine: the active cell serves through
+//! [`RvStepTable::serve`], then every passive cell recovers once by the
+//! steps that elapsed.
 //!
 //! # Example
 //!
@@ -64,14 +64,12 @@
 #![forbid(unsafe_code)]
 
 pub mod analytic;
-pub mod batch;
 mod cell;
 mod error;
 mod fleet;
 mod params;
 mod table;
 
-pub use batch::RvBatch;
 pub use cell::RvCell;
 pub use error::RvError;
 pub use fleet::RvFleet;

@@ -44,7 +44,6 @@ pub fn fitted_terms(params: &BatteryParams) -> usize {
 ///   the deficit dissipates (larger `β²` ⇒ weaker rate-capacity and
 ///   recovery effects).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RvParams {
     alpha: f64,
     beta_squared: f64,

@@ -116,13 +116,8 @@ impl RvStepTable {
     /// The apparent charge lost, `σ = consumed·Γ + 2·Σ_m u_m`, in A·min.
     #[must_use]
     pub fn sigma(&self, cell: &RvCell) -> f64 {
-        self.sigma_raw(cell.consumed_units, &cell.moments)
-    }
-
-    /// [`sigma`](RvStepTable::sigma) on raw state components (the
-    /// struct-of-arrays batch kernels hold cells columnar).
-    pub(crate) fn sigma_raw(&self, consumed_units: u32, moments: &[f64; MAX_STEP_TERMS]) -> f64 {
-        f64::from(consumed_units) * self.disc.charge_unit() + 2.0 * moments.iter().sum::<f64>()
+        f64::from(cell.consumed_units) * self.disc.charge_unit()
+            + 2.0 * cell.moments.iter().sum::<f64>()
     }
 
     /// True remaining charge `max(α - consumed·Γ, 0)` in A·min (the last
@@ -143,55 +138,22 @@ impl RvStepTable {
     /// observed empty.
     #[must_use]
     pub fn is_empty(&self, cell: &RvCell) -> bool {
-        self.is_empty_raw(cell.observed_empty, cell.consumed_units, &cell.moments)
-    }
-
-    pub(crate) fn is_empty_raw(
-        &self,
-        observed_empty: bool,
-        consumed_units: u32,
-        moments: &[f64; MAX_STEP_TERMS],
-    ) -> bool {
-        observed_empty || self.sigma_raw(consumed_units, moments) >= self.empty_threshold
-    }
-
-    /// The per-term decay factors for a recovery advance of `steps` time
-    /// steps, `e^{-β²m²·T·steps}` (computed as the per-step factor raised to
-    /// `steps`). The batch kernels hoist these per type per call instead of
-    /// recomputing them per cell; the values are bit-identical either way
-    /// (same inputs, same `powi`).
-    #[must_use]
-    pub fn recovery_decays(&self, steps: u64) -> [f64; MAX_STEP_TERMS] {
-        let mut decays = [0.0; MAX_STEP_TERMS];
-        for (decay, step_decay) in
-            decays.iter_mut().zip(&self.step_decays).take(self.params.terms())
-        {
-            *decay = decay_pow(*step_decay, steps);
-        }
-        decays
-    }
-
-    /// Applies precomputed recovery decay factors to raw moments and
-    /// re-aligns them to the grid — the recovery kernel shared by the scalar
-    /// and batch paths.
-    pub(crate) fn apply_recovery_decays(
-        &self,
-        moments: &mut [f64; MAX_STEP_TERMS],
-        decays: &[f64; MAX_STEP_TERMS],
-    ) {
-        for m in 0..self.params.terms() {
-            moments[m] *= decays[m];
-        }
-        self.align_raw(moments);
+        cell.observed_empty || self.sigma(cell) >= self.empty_threshold
     }
 
     /// Lets the battery recover (zero current) for `steps` time steps: each
-    /// moment decays by its per-step factor, then re-aligns to the grid.
+    /// moment decays by its per-step factor raised to `steps`
+    /// (`e^{-β²m²·T·steps}`), then re-aligns to the grid.
     pub fn recover(&self, cell: &mut RvCell, steps: u64) {
         if steps == 0 {
             return;
         }
-        self.apply_recovery_decays(&mut cell.moments, &self.recovery_decays(steps));
+        for (moment, step_decay) in
+            cell.moments.iter_mut().zip(&self.step_decays).take(self.params.terms())
+        {
+            *moment *= decay_pow(*step_decay, steps);
+        }
+        self.align(&mut cell.moments);
     }
 
     /// Lets the battery serve a job portion of `steps` time steps with the
@@ -208,30 +170,6 @@ impl RvStepTable {
     pub fn serve(
         &self,
         cell: &mut RvCell,
-        steps: u64,
-        draw_interval_steps: u32,
-        units_per_draw: u32,
-    ) -> StepAdvance {
-        let RvCell { consumed_units, moments, observed_empty } = cell;
-        self.serve_raw(
-            consumed_units,
-            moments,
-            observed_empty,
-            steps,
-            draw_interval_steps,
-            units_per_draw,
-        )
-    }
-
-    /// [`serve`](RvStepTable::serve) on raw state components — the single
-    /// serve kernel shared by the scalar cells and the struct-of-arrays
-    /// batch lanes, so both paths run the same floating-point operations in
-    /// the same order.
-    pub(crate) fn serve_raw(
-        &self,
-        consumed_units: &mut u32,
-        moments: &mut [f64; MAX_STEP_TERMS],
-        observed_empty: &mut bool,
         steps: u64,
         draw_interval_steps: u32,
         units_per_draw: u32,
@@ -255,19 +193,17 @@ impl RvStepTable {
         let mut consumed: u64 = 0;
         for _ in 0..draws {
             for m in 0..self.params.terms() {
-                moments[m] = moments[m] * interval_decay[m] + interval_gain[m];
+                cell.moments[m] = cell.moments[m] * interval_decay[m] + interval_gain[m];
             }
-            *consumed_units = consumed_units.saturating_add(units_per_draw);
-            self.align_raw(moments);
+            cell.consumed_units = cell.consumed_units.saturating_add(units_per_draw);
+            self.align(&mut cell.moments);
             consumed += interval;
-            if self.is_empty_raw(*observed_empty, *consumed_units, moments) {
-                *observed_empty = true;
+            if self.is_empty(cell) {
+                cell.observed_empty = true;
                 return StepAdvance { steps_consumed: consumed, completed: false };
             }
         }
-        if remainder > 0 {
-            self.apply_recovery_decays(moments, &self.recovery_decays(remainder));
-        }
+        self.recover(cell, remainder);
         consumed += remainder;
         StepAdvance { steps_consumed: consumed, completed: true }
     }
@@ -283,7 +219,7 @@ impl RvStepTable {
     /// Rounds every moment to the fixed-point grid. Called after every state
     /// transition, so cells are always grid-aligned (which makes
     /// [`state_word`](RvStepTable::state_word) exact).
-    fn align_raw(&self, moments: &mut [f64; MAX_STEP_TERMS]) {
+    fn align(&self, moments: &mut [f64; MAX_STEP_TERMS]) {
         for moment in moments.iter_mut().take(self.params.terms()) {
             *moment = (*moment / self.moment_quantum).round() * self.moment_quantum;
         }
@@ -381,6 +317,47 @@ mod tests {
         for (a, b) in once.moments().iter().zip(twice.moments()) {
             assert!((a - b).abs() <= 2.0 * t.moment_quantum(), "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn recovery_decays_each_moment_by_its_closed_form_factor() {
+        let disc = Discretization::paper_default();
+        for (params, served) in [(RvParams::itsy_b1(), 100), (RvParams::itsy_b2(), 120)] {
+            let t = RvStepTable::new(&params, &disc).unwrap();
+            let mut cell = t.fresh_cell();
+            t.serve(&mut cell, served, 2, 1);
+            let before = cell;
+            t.recover(&mut cell, 777);
+            assert_eq!(cell.consumed_units(), before.consumed_units(), "recovery draws nothing");
+            for m in 0..params.terms() {
+                let decay = (-params.rate(m + 1) * disc.steps_to_minutes(777)).exp();
+                let expected = before.moments()[m] * decay;
+                assert!(
+                    (cell.moments()[m] - expected).abs() <= t.moment_quantum(),
+                    "term {m}: {} vs {expected}",
+                    cell.moments()[m]
+                );
+            }
+            assert!(t.sigma(&cell) < t.sigma(&before), "the deficit shrinks");
+            // A zero-step recovery is the identity, bit for bit.
+            let mut same = cell;
+            t.recover(&mut same, 0);
+            assert_eq!(same, cell);
+        }
+    }
+
+    #[test]
+    fn state_words_separate_distinct_cells_and_agree_on_equal_ones() {
+        let t = table();
+        let mut a = t.fresh_cell();
+        let mut b = t.fresh_cell();
+        t.serve(&mut a, 250, 2, 1);
+        t.serve(&mut b, 250, 2, 1);
+        assert_eq!(t.state_word(&a), t.state_word(&b));
+        assert_eq!(t.state_word(&a), a.state_word(t.moment_quantum()));
+        t.recover(&mut b, 40);
+        assert_ne!(t.state_word(&a), t.state_word(&b), "recovery moves the packed word");
+        assert_ne!(t.state_word(&t.fresh_cell()), t.state_word(&a));
     }
 
     #[test]

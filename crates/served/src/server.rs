@@ -39,7 +39,7 @@ struct ServerState {
 }
 
 /// A running scheduling service: worker threads draining a bounded queue
-/// of [`Request`]s through the engine's micro-batching request API, with a
+/// of [`Request`]s in micro-batches through the engine's request API, with a
 /// process-wide system cache shared by every worker.
 pub struct Server {
     state: Arc<ServerState>,
@@ -242,8 +242,8 @@ fn drained(state: &ServerState, queue: &VecDeque<Job>) -> bool {
     state.shutting_down.load(Ordering::Relaxed) && queue.is_empty()
 }
 
-/// One worker: drain up to `batch_max` queued jobs, answer them through
-/// the engine's micro-batching request API, repeat until shutdown.
+/// One worker: drain up to `batch_max` queued jobs, answer them in one
+/// call to the engine's request API, repeat until shutdown.
 ///
 /// Each batch gets a **fresh** worker cache over the process-wide shared
 /// cache: tables are cloned from the shared prototypes (never recomputed),

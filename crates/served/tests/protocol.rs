@@ -9,7 +9,7 @@
 
 use engine::json::JsonValue;
 use engine::{
-    run_grid, BackendKind, BatterySpec, DiscSpec, FleetDef, LoadSpec, PolicyKind, Scenario,
+    BackendKind, BatterySpec, DiscSpec, FleetDef, GridRun, LoadSpec, PolicyKind, Scenario,
     ScenarioSpec,
 };
 use served::{ServeConfig, Server};
@@ -128,7 +128,7 @@ fn concurrent_clients_get_their_own_answers_bit_identical_to_the_batch_engine() 
         policies: policies.to_vec(),
         backends: vec![BackendKind::Discretized],
     };
-    let reference = run_grid(&spec).expect("the reference grid runs");
+    let reference = GridRun::new(&spec).collect().expect("the reference grid runs");
 
     let server = Arc::new(Server::start(ServeConfig::default()));
     let mut clients = Vec::new();

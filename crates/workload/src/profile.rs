@@ -7,7 +7,6 @@ use kibam::lifetime::Segment;
 /// epochs; an epoch with positive current is a *job*, an epoch with zero
 /// current is an *idle period*.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Epoch {
     current: f64,
     duration: f64,
@@ -116,7 +115,6 @@ impl Epoch {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LoadProfile {
     pattern: Vec<Epoch>,
     cyclic: bool,

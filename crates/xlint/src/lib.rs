@@ -1,7 +1,7 @@
 //! Workspace invariant linter.
 //!
 //! Every claim this repository makes — bit-identical lifetimes across
-//! pruned and reference searches, batched == scalar kernels, reproducible
+//! pruned and reference searches, grid runs == one-off runs, reproducible
 //! golden tables — rests on invariants that `clippy` cannot see: total
 //! float orderings, deterministic iteration, lossless state-word packing,
 //! correctly ordered atomics in the hand-rolled worker pool. `xlint` makes
