@@ -13,10 +13,10 @@
 //!
 //! Output: a table on stdout and `BENCH_kernel.json` (override with a
 //! positional path). The document also carries a `bound_probes` section —
-//! the wall time (`bound_micros`) of the optimal search's root-bound probe
-//! on the coarse-grid alternating-load fleets, timed here because the
-//! relaxation bound's column DP is itself a kernel on the hot path of the
-//! branch-and-bound search. `--smoke` shrinks the workload for CI.
+//! the wall time (`bound_micros`) of the optimal search's root pass on the
+//! coarse-grid alternating-load fleets, timed here because the service
+//! column DP it runs is itself a kernel on the path of every optimal
+//! request. `--smoke` shrinks the workload for CI.
 //!
 //! ```text
 //! kernelbench [OUT] [--smoke]
@@ -113,17 +113,17 @@ fn measure<M: BatteryModel>(systems: &mut [M], cycles: u64) -> f64 {
     steps / best
 }
 
-/// Times the root-bound probe (charge + availability + relaxation bounds
-/// plus the warm-start policies) on the coarse-grid alternating-load
-/// fleets. The probe runs at every search root and the relaxation bound
-/// re-runs at interior nodes, so its wall time (`bound_micros`, matching
-/// the per-cell field the scenario grids record) belongs in the kernel
-/// trajectory next to the stepping throughput.
+/// Times the root pass (one service-column build shared by the LP-rounding
+/// warm start and the relaxation bound, the warm-start policies, and the
+/// charge and availability bounds) on the coarse-grid alternating-load
+/// fleets. Every optimal request runs it once, so its wall time
+/// (`bound_micros`, matching the per-cell field the scenario grids record)
+/// belongs in the kernel trajectory next to the stepping throughput.
 fn measure_bound_probes(smoke: bool) -> JsonValue {
     let repeats = if smoke { 1 } else { 3 };
     let profile = TestLoad::IlsAlt.profile();
     let mut rows = Vec::new();
-    println!("root-bound probe (ILs alt, coarse grid, best of {repeats}):");
+    println!("root pass (ILs alt, coarse grid, best of {repeats}):");
     println!("{:>6} {:>14}", "fleet", "bound_micros");
     for count in [2usize, 3, 4] {
         let config = SystemConfig::new(BatteryParams::itsy_b1(), Discretization::coarse(), count)

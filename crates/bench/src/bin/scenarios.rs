@@ -306,8 +306,8 @@ fn run_merge(args: &[String]) {
 }
 
 /// A result row with its wall-clock fields removed: simulation outcomes
-/// are deterministic, wall time (`wall_micros`, and the root-bound probe
-/// time `bound_micros`) never is.
+/// are deterministic, wall time (`wall_micros`, and the root-pass time
+/// `bound_micros`) never is.
 fn without_wall_micros(row: &JsonValue) -> JsonValue {
     match row {
         JsonValue::Object(fields) => JsonValue::Object(
@@ -602,8 +602,8 @@ fn frontier_root_bounds() -> JsonValue {
 /// `ceiling_rows` rows (the rows beyond are baseline-gated frontier cells).
 fn print_and_gate(results: &[engine::ScenarioResult], max_nodes: Option<u64>, ceiling_rows: usize) {
     println!(
-        "{:<32} {:>10} {:>12} {:>9} {:>7} {:>9} {:>9} {:>9}",
-        "scenario", "lifetime", "nodes", "memo", "dom", "charge", "avail", "relax"
+        "{:<32} {:>10} {:>12} {:>9} {:>7} {:>9} {:>9}",
+        "scenario", "lifetime", "nodes", "memo", "dom", "charge", "avail"
     );
     let mut worst_nodes = 0u64;
     for (index, result) in results.iter().enumerate() {
@@ -615,7 +615,7 @@ fn print_and_gate(results: &[engine::ScenarioResult], max_nodes: Option<u64>, ce
         });
         let fmt = |v: Option<u64>| v.map(|v| v.to_string()).unwrap_or_default();
         println!(
-            "{:<32} {:>10} {:>12} {:>9} {:>7} {:>9} {:>9} {:>9}",
+            "{:<32} {:>10} {:>12} {:>9} {:>7} {:>9} {:>9}",
             result.scenario.label(),
             result
                 .lifetime_minutes
@@ -626,7 +626,6 @@ fn print_and_gate(results: &[engine::ScenarioResult], max_nodes: Option<u64>, ce
             fmt(stats.map(|s| s.dominance_prunes)),
             fmt(stats.map(|s| s.charge_bound_prunes)),
             fmt(stats.map(|s| s.availability_bound_prunes)),
-            fmt(stats.map(|s| s.relax_bound_prunes)),
         );
     }
     if let Some(ceiling) = max_nodes {

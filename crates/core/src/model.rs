@@ -346,11 +346,11 @@ pub trait BatteryModel {
 
     /// The exact discrete inputs for battery `index`'s service column —
     /// its current [`dkibam::DiscreteBattery`] state plus its type's
-    /// parameters and recovery table — used by the relaxation bound of the
-    /// optimal search to run the exact single-battery serve/skip DP
-    /// ([`dkibam::ColumnBuilder`]). Backends whose state is not the
-    /// discrete KiBaM return `None` (the default), which disables the
-    /// relaxation bound for them.
+    /// parameters and recovery table — used by the optimal search's root
+    /// pass to run the exact single-battery serve/skip DP
+    /// ([`dkibam::ColumnBuilder`]) behind the relaxation root bound and the
+    /// LP-rounding warm start. Backends whose state is not the discrete
+    /// KiBaM return `None` (the default), which disables both for them.
     fn column_inputs(
         &self,
         index: usize,

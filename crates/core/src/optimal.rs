@@ -24,17 +24,6 @@
 //!   search ~4× (53.6k nodes vs 208.5k, pinned in
 //!   `tests/bound_admissibility.rs`) and fires on roughly half of all
 //!   nodes there, where the charge bound fires on none,
-//! * a **relaxation upper bound** that drops only the "one battery per
-//!   draw" coupling: each battery's *exact* maximum cumulative service
-//!   through every remaining job epoch is computed by the serve/skip
-//!   dynamic program of [`dkibam::ColumnBuilder`] (full-horizon columns,
-//!   cached by `(type, state, position)` so transpositions re-solve from
-//!   the parent's cached columns rather than from scratch), and the
-//!   `relax` crate's prefix-capacity transportation relaxation couples
-//!   them through the shared demand: the closed-form min-cut walk
-//!   ([`relax::coverage_bound`]) yields an admissible death bound that is
-//!   evaluated only when the availability bound fails to fire
-//!   ([`OptimalOutcome::relax_bound_prunes`]),
 //! * **symmetry pruning** (batteries in identical states need only be tried
 //!   once),
 //! * a **transposition table** keyed by the canonicalized battery state and
@@ -53,6 +42,20 @@
 //!   maximally effective from node 0; [`OptimalOutcome::seeded_by`]
 //!   reports which policy provided the incumbent.
 //!
+//! Every request starts with one **root pass**
+//! ([`OptimalScheduler::root_pass`]): the fresh fleet's exact per-battery
+//! service columns are built once by the serve/skip dynamic program of
+//! [`dkibam::ColumnBuilder`], and two consumers share them — the
+//! LP-rounding seed above, and the **relaxation root bound**, which drops
+//! only the "one battery per draw" coupling and couples the columns
+//! through the shared demand (the closed form of the `relax` crate's
+//! prefix-capacity transportation relaxation, [`relax::coverage_bound`]).
+//! The relaxation is a root diagnostic ([`RootBounds::relaxation`]), not a
+//! node bound: evaluated per node it cost ~20 µs each time and pruned too
+//! little to pay for itself, losing on the wall clock on every contained
+//! frontier instance, so the search prunes with the charge and
+//! availability bounds only.
+//!
 //! The search runs on an explicit stack (no recursion) and is
 //! allocation-free per node in steady state: snapshots live in a pool
 //! indexed by depth, candidate buffers are arenas that grow only to the
@@ -62,10 +65,10 @@
 //! converging histories (e.g. `ILs 250`, random loads, three-battery
 //! systems) shrink 5–10× under the transposition table, while short
 //! alternating loads on two batteries (`ILs alt`) are already near-minimal
-//! after symmetry pruning and only the availability and relaxation bounds
-//! trim them further. The availability bound alone sits ~2× above the
-//! true optimum at the root of the alternating loads; the relaxation
-//! bound's exact per-battery columns close most of that gap
+//! after symmetry pruning and only the availability bound trims them
+//! further. The availability bound alone sits ~2× above the true optimum
+//! at the root of the alternating loads; the relaxation's exact
+//! per-battery columns close part of that gap at the root
 //! (`examples/frontier_probe.rs` and
 //! [`OptimalScheduler::probe_root_bounds`] measure the per-bound root
 //! tightness). The bench harness
@@ -192,13 +195,6 @@ const MAX_MEMO_ENTRIES: usize = 1_000_000;
 /// fronts still prune; new positions are no longer recorded.
 const MAX_FRONT_ENTRIES: usize = 500_000;
 
-/// The most cached per-battery service columns of the relaxation bound.
-/// Keyed by `(battery type, battery state, load position)`, so transposed
-/// searches re-use the exact single-battery DP solved at the parent instead
-/// of re-solving it; once full, columns are still built (into a scratch
-/// buffer) but no longer retained.
-const MAX_COLUMN_CACHE_ENTRIES: usize = 200_000;
-
 /// The result of an optimal-schedule search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptimalOutcome {
@@ -221,10 +217,6 @@ pub struct OptimalOutcome {
     /// Nodes cut by the availability-aware upper bound (recovery-coupled
     /// service envelopes) after the charge bound failed to fire.
     pub availability_bound_prunes: usize,
-    /// Nodes cut by the min-cost-flow relaxation bound (exact per-battery
-    /// service columns coupled only through the shared demand) after both
-    /// cheaper bounds failed to fire.
-    pub relax_bound_prunes: usize,
     /// The deterministic policy whose simulated lifetime seeded the warm
     /// start incumbent, or `None` if no policy produced a lifetime (the
     /// load ended before the batteries died under every policy).
@@ -246,7 +238,6 @@ pub struct OptimalScheduler {
     memoize: bool,
     dominance: bool,
     availability: bool,
-    relaxation: bool,
 }
 
 impl Default for OptimalScheduler {
@@ -257,17 +248,10 @@ impl Default for OptimalScheduler {
 
 impl OptimalScheduler {
     /// Creates a scheduler with the default node budget and all prunings
-    /// (memoization + dominance + the availability and relaxation bounds)
-    /// enabled.
+    /// (memoization + dominance + the availability bound) enabled.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            budget: DEFAULT_BUDGET,
-            memoize: true,
-            dominance: true,
-            availability: true,
-            relaxation: true,
-        }
+        Self { budget: DEFAULT_BUDGET, memoize: true, dominance: true, availability: true }
     }
 
     /// Creates a scheduler with an explicit node budget. The search fails
@@ -286,13 +270,7 @@ impl OptimalScheduler {
     /// pruned one in (far) fewer nodes.
     #[must_use]
     pub fn reference() -> Self {
-        Self {
-            budget: DEFAULT_BUDGET,
-            memoize: false,
-            dominance: false,
-            availability: false,
-            relaxation: false,
-        }
+        Self { budget: DEFAULT_BUDGET, memoize: false, dominance: false, availability: false }
     }
 
     /// Disables the transposition table (for ablation and equivalence
@@ -320,12 +298,12 @@ impl OptimalScheduler {
         self
     }
 
-    /// Disables the min-cost-flow relaxation bound, leaving the charge and
-    /// availability bounds (for ablation: node-count comparisons against
-    /// this scheduler isolate what the relaxation buys).
+    /// Returns the scheduler unchanged. The min-cost-flow relaxation is no
+    /// longer a per-node bound (it is evaluated once, at the root — see
+    /// [`OptimalScheduler::root_pass`]), so there is nothing to disable;
+    /// kept only for callers written against the ablation it once was.
     #[must_use]
-    pub fn without_relax_bound(mut self) -> Self {
-        self.relaxation = false;
+    pub fn without_relax_bound(self) -> Self {
         self
     }
 
@@ -367,8 +345,10 @@ impl OptimalScheduler {
     }
 
     /// Finds the optimal schedule against an arbitrary [`BatteryModel`]
-    /// backend. The model is reset before the search; it must have been
-    /// built for the same parameters and discretization as `config`.
+    /// backend: one [`OptimalScheduler::root_pass`], then
+    /// [`OptimalScheduler::search_from`] it. The model is reset before the
+    /// search; it must have been built for the same parameters and
+    /// discretization as `config`.
     ///
     /// # Errors
     ///
@@ -379,9 +359,27 @@ impl OptimalScheduler {
         load: &DiscretizedLoad,
         model: &mut M,
     ) -> Result<OptimalOutcome, SchedError> {
-        let warm = warm_start(config, load, model)?;
-        let seeded_by = warm.seeded_by;
-        let mut search = Search::new(config, load, model, *self, warm);
+        let root = Self::root_pass(config, load, model)?;
+        self.search_from(config, load, model, root)
+    }
+
+    /// Runs the branch-and-bound search seeded from a root pass's warm
+    /// start. `root` must come from [`OptimalScheduler::root_pass`] on the
+    /// same configuration, load and backend.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::SearchBudgetExceeded`] if the node budget is
+    /// exhausted.
+    pub fn search_from<M: BatteryModel>(
+        &self,
+        config: &SystemConfig,
+        load: &DiscretizedLoad,
+        model: &mut M,
+        root: RootPass,
+    ) -> Result<OptimalOutcome, SchedError> {
+        let seeded_by = root.warm.seeded_by;
+        let mut search = Search::new(config, load, model, *self, root.warm);
         search.explore()?;
 
         Ok(OptimalOutcome {
@@ -392,7 +390,6 @@ impl OptimalScheduler {
             dominance_prunes: search.dominance_prunes,
             charge_bound_prunes: search.charge_bound_prunes,
             availability_bound_prunes: search.availability_bound_prunes,
-            relax_bound_prunes: search.relax_bound_prunes,
             seeded_by,
         })
     }
@@ -416,11 +413,47 @@ pub struct RootBounds {
     pub warm_start: u64,
 }
 
+/// The root pass of one optimal request: the warm-start incumbent and the
+/// root bounds, computed from one build of the fresh fleet's service
+/// columns. [`OptimalScheduler::search_from`] seeds the search with it.
+#[derive(Debug)]
+pub struct RootPass {
+    /// The search's upper bounds at the root, and the warm start.
+    pub bounds: RootBounds,
+    warm: WarmStart,
+}
+
 impl OptimalScheduler {
-    /// Evaluates the search's upper bounds at the root position (fresh
-    /// fleet, start of load) without searching, plus the warm-start
-    /// incumbent. Diagnostic API for bound-tightness tests and the bench
-    /// harness.
+    /// The root pass of an optimal request: builds the fresh fleet's exact
+    /// per-battery service columns once, feeds them to both the
+    /// LP-rounding warm start and the relaxation root bound, and evaluates
+    /// the charge and availability bounds at the root position.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors from the warm-start policies.
+    pub fn root_pass<M: BatteryModel>(
+        config: &SystemConfig,
+        load: &DiscretizedLoad,
+        model: &mut M,
+    ) -> Result<RootPass, SchedError> {
+        let columns = root_columns(load, model);
+        let warm = warm_start(config, load, model, columns.as_ref())?;
+        let relaxation = columns.map_or(u64::MAX, |columns| relax_root_bound(load, &columns));
+        // Bounds are probed against a zeroed incumbent so they never
+        // early-exit at the pruning margin.
+        let probe = WarmStart { steps: 0, decisions: Vec::new(), seeded_by: None };
+        let mut search = Search::new(config, load, model, OptimalScheduler::new(), probe);
+        let charge = search.charge_bound(0, 0);
+        let availability = search.availability_bound(0, 0, u64::MAX);
+        let bounds = RootBounds { charge, availability, relaxation, warm_start: warm.steps };
+        Ok(RootPass { bounds, warm })
+    }
+
+    /// The root pass's bounds alone: the search's upper bounds at the root
+    /// position (fresh fleet, start of load) plus the warm-start
+    /// incumbent, without searching. Diagnostic API for bound-tightness
+    /// tests and the bench harness.
     ///
     /// # Errors
     ///
@@ -430,24 +463,47 @@ impl OptimalScheduler {
         load: &DiscretizedLoad,
         model: &mut M,
     ) -> Result<RootBounds, SchedError> {
-        let warm = warm_start(config, load, model)?;
-        let incumbent_steps = warm.steps;
-        // Bounds are probed against a zeroed incumbent so they never
-        // early-exit at the pruning margin.
-        let probe = WarmStart { steps: 0, decisions: Vec::new(), seeded_by: None };
-        let mut search = Search::new(config, load, model, OptimalScheduler::new(), probe);
-        let charge = search.charge_bound(0, 0);
-        let availability = search.availability_bound(0, 0, u64::MAX);
-        let relaxation = search.relax_bound(0, 0, u64::MAX);
-        Ok(RootBounds { charge, availability, relaxation, warm_start: incumbent_steps })
+        Ok(Self::root_pass(config, load, model)?.bounds)
     }
 }
 
 /// The warm-start incumbent: the best deterministic-policy schedule.
+#[derive(Debug)]
 struct WarmStart {
     steps: u64,
     decisions: Vec<usize>,
     seeded_by: Option<&'static str>,
+}
+
+/// The fresh fleet's full-horizon service columns, shared by the
+/// LP-rounding seed and the relaxation root bound.
+struct RootColumns {
+    /// One exact column per battery ([`ColumnBuilder`]).
+    columns: Vec<ServiceColumn>,
+    /// Batteries not yet observed empty.
+    alive: u64,
+}
+
+/// Builds the fresh fleet's service columns over the whole load. `None`
+/// when the backend cannot produce columns (no relaxation to evaluate or
+/// round).
+fn root_columns<M: BatteryModel>(load: &DiscretizedLoad, model: &mut M) -> Option<RootColumns> {
+    model.reset();
+    let battery_count = model.battery_count();
+    if battery_count == 0 || battery_count > MAX_BOUND_BATTERIES {
+        return None;
+    }
+    let mut builder = ColumnBuilder::default();
+    let mut columns = Vec::with_capacity(battery_count);
+    let mut alive: u64 = 0;
+    for battery in 0..battery_count {
+        let (state, params, recovery) = model.column_inputs(battery)?;
+        alive += u64::from(!state.is_observed_empty());
+        let mut column = ServiceColumn::default();
+        builder.build(state, params, recovery, load.epochs(), 0, &mut column);
+        columns.push(column);
+    }
+    Some(RootColumns { columns, alive })
 }
 
 /// Simulates every deterministic policy — plus the LP-rounding plan, when
@@ -458,6 +514,7 @@ fn warm_start<M: BatteryModel>(
     config: &SystemConfig,
     load: &DiscretizedLoad,
     model: &mut M,
+    columns: Option<&RootColumns>,
 ) -> Result<WarmStart, SchedError> {
     let mut warm = WarmStart { steps: 0, decisions: Vec::new(), seeded_by: None };
     for (name, policy) in [
@@ -475,7 +532,8 @@ fn warm_start<M: BatteryModel>(
             }
         }
     }
-    if let Some(mut policy) = lp_rounding_plan(load, model) {
+    if let Some(columns) = columns {
+        let mut policy = lp_rounding_plan(load, columns);
         let outcome = simulate_policy_with(config, load, &mut policy, model)?;
         if let Some(steps) = outcome.lifetime_steps() {
             if steps > warm.steps {
@@ -492,22 +550,9 @@ fn warm_start<M: BatteryModel>(
 /// the fresh fleet's exact service columns ([`relax::max_coverage`], whose
 /// costs prefer early coverage and round-robin rotation), then round the
 /// fractional assignment to one battery per job epoch — the battery the
-/// relaxation gives the most units of that epoch to. `None` when the
-/// backend cannot produce columns (no relaxation to round).
-fn lp_rounding_plan<M: BatteryModel>(load: &DiscretizedLoad, model: &mut M) -> Option<PlanPolicy> {
-    model.reset();
-    let battery_count = model.battery_count();
-    if battery_count == 0 || battery_count > MAX_BOUND_BATTERIES {
-        return None;
-    }
-    let mut builder = ColumnBuilder::default();
-    let mut columns: Vec<Vec<u64>> = Vec::with_capacity(battery_count);
-    for battery in 0..battery_count {
-        let (state, params, recovery) = model.column_inputs(battery)?;
-        let mut column = ServiceColumn::default();
-        builder.build(state, params, recovery, load.epochs(), 0, &mut column);
-        columns.push(column.units);
-    }
+/// relaxation gives the most units of that epoch to.
+fn lp_rounding_plan(load: &DiscretizedLoad, root: &RootColumns) -> PlanPolicy {
+    let columns: Vec<&[u64]> = root.columns.iter().map(|column| column.units.as_slice()).collect();
     let demands: Vec<u64> = load
         .epochs()
         .iter()
@@ -529,7 +574,81 @@ fn lp_rounding_plan<M: BatteryModel>(load: &DiscretizedLoad, model: &mut M) -> O
             best
         })
         .collect();
-    Some(PlanPolicy { plan })
+    PlanPolicy { plan }
+}
+
+/// Min-cost-flow relaxation bound on the lifetime from the root. It drops
+/// only the "one battery per draw" coupling: battery `i`'s cumulative
+/// service through job epoch `e` is bounded by its *exact* best-case
+/// column `columns[i][e]` (the serve/skip DP of [`ColumnBuilder`], which
+/// prices every recovery the battery would actually need), and the fleet
+/// jointly covers each epoch's demand. Because the columns are
+/// cumulative, the optimum of that transportation relaxation has a
+/// closed-form min cut ([`relax::coverage_bound`]); here the demand walk
+/// uses its epoch form directly: the system dies in the first epoch whose
+/// cumulative demand exceeds the summed column capacities, and the last
+/// coverable draw inside that epoch follows from the remaining unit
+/// budget.
+fn relax_root_bound(load: &DiscretizedLoad, root: &RootColumns) -> u64 {
+    // The columns were built over these same epochs: one entry per job
+    // epoch, so `job_epoch` always indexes within them.
+    let columns = &root.columns;
+    let mut cumulative_demand: u64 = 0;
+    let mut whole_epochs: u64 = 0;
+    let mut steps: u64 = 0;
+    let mut job_epoch = 0usize;
+    for epoch in load.epochs() {
+        let duration = epoch.duration_steps();
+        if epoch.is_idle() {
+            steps += duration;
+            continue;
+        }
+        let interval = u64::from(epoch.draw_interval_steps());
+        let units = u64::from(epoch.units_per_draw());
+        let draws_possible = duration / interval;
+        let epoch_demand = draws_possible * units;
+        let capacity: u64 =
+            columns.iter().map(|column| column.units[job_epoch]).fold(0, u64::saturating_add);
+        let mut death: Option<u64> = None;
+        if cumulative_demand.saturating_add(epoch_demand) > capacity {
+            // The relaxed fleet dies in this epoch: it can cover
+            // `capacity − cumulative_demand` more units, i.e. that many
+            // whole draws, and survives one draw interval past the last
+            // covered draw (or to the first draw, if none).
+            let draws_served = capacity.saturating_sub(cumulative_demand) / units;
+            death = Some(steps + (draws_served + 1).min(draws_possible) * interval);
+        }
+        // Serialization cut: of the `whole_epochs` job epochs so far, at
+        // most `alive` can be split between batteries (every mid-epoch
+        // handoff consumes one of the remaining deaths); the rest must each
+        // be served whole by a single battery, and `Σ full_epochs` caps how
+        // many whole serves the fleet has. The fractional LP may still
+        // split a whole serve across batteries, so this is the
+        // relaxation's integral face — it is what keeps the bound from
+        // degenerating to the charge budget on fresh fleets, where
+        // per-unit capacity is plentiful but serialized epoch coverage is
+        // not.
+        if epoch_demand > 0 {
+            whole_epochs += 1;
+            let full_serves: u64 = columns
+                .iter()
+                .map(|column| column.full_epochs[job_epoch])
+                .fold(0, u64::saturating_add);
+            if whole_epochs.saturating_sub(root.alive) > full_serves {
+                // Some prior whole epoch cannot be fully covered; the
+                // system dies by this epoch's last draw at the latest.
+                let at_last_draw = steps + draws_possible * interval;
+                death = Some(death.map_or(at_last_draw, |d| d.min(at_last_draw)));
+            }
+        }
+        if let Some(death) = death {
+            return death;
+        }
+        cumulative_demand += epoch_demand;
+        steps += duration;
+        job_epoch += 1;
+    }
+    steps
 }
 
 /// Replays a per-job-epoch battery plan (the rounded LP assignment). When
@@ -601,13 +720,11 @@ struct Search<'a, M: BatteryModel> {
     memoize: bool,
     dominance: bool,
     availability: bool,
-    relaxation: bool,
     nodes: usize,
     memo_hits: usize,
     dominance_prunes: usize,
     charge_bound_prunes: usize,
     availability_bound_prunes: usize,
-    relax_bound_prunes: usize,
     best_steps: u64,
     best_decisions: Vec<usize>,
     current_decisions: Vec<usize>,
@@ -638,16 +755,6 @@ struct Search<'a, M: BatteryModel> {
     fronts: FxMap<(usize, u64), Vec<(StateKey, u64)>>,
     /// Total entries across all fronts, enforcing [`MAX_FRONT_ENTRIES`].
     front_entries: usize,
-    /// The exact single-battery DP of the relaxation bound.
-    column_builder: ColumnBuilder,
-    /// Cached full-horizon service columns of the relaxation bound, keyed
-    /// by `(battery type, battery state word, epoch index, offset)`. The
-    /// full-horizon build makes the key independent of the pruning margin,
-    /// so a column solved at the parent (or any transposition) is reused
-    /// verbatim at every revisit.
-    column_cache: FxMap<(usize, u128, usize, u64), ServiceColumn>,
-    /// Per-battery scratch columns for cache misses.
-    columns_scratch: Vec<ServiceColumn>,
 }
 
 impl<'a, M: BatteryModel> Search<'a, M> {
@@ -675,13 +782,11 @@ impl<'a, M: BatteryModel> Search<'a, M> {
             memoize: scheduler.memoize,
             dominance: scheduler.dominance,
             availability: scheduler.availability,
-            relaxation: scheduler.relaxation,
             nodes: 0,
             memo_hits: 0,
             dominance_prunes: 0,
             charge_bound_prunes: 0,
             availability_bound_prunes: 0,
-            relax_bound_prunes: 0,
             best_steps: warm.steps,
             best_decisions: warm.decisions,
             current_decisions: Vec::new(),
@@ -695,9 +800,6 @@ impl<'a, M: BatteryModel> Search<'a, M> {
             seen: FxMap::default(),
             fronts: FxMap::default(),
             front_entries: 0,
-            column_builder: ColumnBuilder::default(),
-            column_cache: FxMap::default(),
-            columns_scratch: Vec::new(),
         }
     }
 }
@@ -804,33 +906,11 @@ impl<M: BatteryModel> Search<'_, M> {
         // can actually be served. Evaluated only when the (cheaper) charge
         // bound fails to fire, so the split counters attribute each prune
         // to the weakest bound that achieves it.
-        let margin = self.best_steps.saturating_sub(elapsed);
-        // Whether the availability bound landed close enough to the
-        // pruning margin that the (much costlier) relaxation bound has a
-        // realistic chance of closing the rest of the gap. When the
-        // availability walk survives past twice the margin, the relaxation
-        // — empirically within ~15 % of it at the root — will not prune
-        // either, so building columns there would be pure overhead.
-        let mut relax_worthwhile = true;
         if self.availability {
-            // Only walk past the margin (to the gate) when the relaxation
-            // is on and the extra information is actually consumed.
-            let gate = if self.relaxation { margin.saturating_mul(2) } else { margin };
-            let bound = self.availability_bound(epoch_index, offset, gate);
+            let margin = self.best_steps.saturating_sub(elapsed);
+            let bound = self.availability_bound(epoch_index, offset, margin);
             if elapsed.saturating_add(bound) <= self.best_steps {
                 self.availability_bound_prunes += 1;
-                return Ok(false);
-            }
-            relax_worthwhile = bound <= gate;
-        }
-        // Relaxation bound: exact per-battery service columns coupled only
-        // through the shared demand. The most expensive bound, so it runs
-        // last (and gated), and its counter attributes only the prunes the
-        // cheaper bounds missed.
-        if self.relaxation && relax_worthwhile {
-            let bound = self.relax_bound(epoch_index, offset, margin);
-            if elapsed.saturating_add(bound) <= self.best_steps {
-                self.relax_bound_prunes += 1;
                 return Ok(false);
             }
         }
@@ -1088,176 +1168,6 @@ impl<M: BatteryModel> Search<'_, M> {
                 }
             }
             return steps + (draws_served + 1).min(draws_possible) * interval;
-        }
-        steps
-    }
-
-    /// Min-cost-flow relaxation bound on the additional lifetime obtainable
-    /// from this position. It drops only the "one battery per draw"
-    /// coupling: battery `i`'s cumulative service through job epoch `e` is
-    /// bounded by its *exact* best-case column `columns[i][e]` (the
-    /// serve/skip DP of [`ColumnBuilder`], which prices every recovery the
-    /// battery would actually need), and the fleet jointly covers each
-    /// epoch's demand. Because the columns are cumulative, the optimum of
-    /// that transportation relaxation has a closed-form min cut
-    /// ([`relax::coverage_bound`]); here the demand walk uses its epoch
-    /// form directly: the system dies in the first epoch whose cumulative
-    /// demand exceeds the summed column capacities, and the last coverable
-    /// draw inside that epoch follows from the remaining unit budget.
-    ///
-    /// A column entry depends only on the epochs up to it, so a build
-    /// truncated at the walk's early-exit horizon (the first job epoch
-    /// starting past `limit`) produces exactly the entries the walk can
-    /// read — deep nodes with small margins build short, cheap prefixes.
-    /// Cached prefixes are keyed by `(type, state word, position)` — the
-    /// key is limit-independent — and extended in place when a later visit
-    /// (e.g. after the incumbent improved) needs a longer prefix, so
-    /// revisits of a battery state solved at the parent (or any
-    /// transposition) re-use the parent's columns instead of re-running
-    /// the DP.
-    ///
-    /// Returns `u64::MAX` (no claim) when the backend cannot provide
-    /// column inputs, and may return early with any value above `limit`
-    /// once the walk has survived past it.
-    fn relax_bound(&mut self, epoch_index: usize, offset: u64, limit: u64) -> u64 {
-        let battery_count = self.model.battery_count();
-        if battery_count == 0 || battery_count > MAX_BOUND_BATTERIES {
-            return u64::MAX;
-        }
-        // The build horizon: `needed` job-epoch entries, covered by the
-        // first `span` timeline epochs. Mirrors the walk below exactly —
-        // each job epoch is counted iff the walk would reach its check.
-        let mut needed = 0usize;
-        let mut span = 0usize;
-        {
-            let mut steps_ahead: u64 = 0;
-            let mut walk_offset = offset;
-            for (index, epoch) in self.epochs[epoch_index..].iter().enumerate() {
-                let duration = epoch.duration_steps() - walk_offset;
-                walk_offset = 0;
-                if !epoch.is_idle() {
-                    if steps_ahead > limit {
-                        break;
-                    }
-                    needed += 1;
-                    span = index + 1;
-                }
-                steps_ahead += duration;
-            }
-        }
-        if self.columns_scratch.len() < battery_count {
-            self.columns_scratch.resize_with(battery_count, ServiceColumn::default);
-        }
-        let mut keys = [(0usize, 0u128, 0usize, 0u64); MAX_BOUND_BATTERIES];
-        let mut from_scratch = [false; MAX_BOUND_BATTERIES];
-        let mut alive: u64 = 0;
-        for battery in 0..battery_count {
-            let Some((state, params, recovery)) = self.model.column_inputs(battery) else {
-                return u64::MAX;
-            };
-            alive += u64::from(!state.is_observed_empty());
-            let key = (self.model.type_of(battery), state.state_word(), epoch_index, offset);
-            keys[battery] = key;
-            if self.column_cache.get(&key).is_some_and(|cached| cached.len() >= needed) {
-                continue;
-            }
-            self.column_builder.build(
-                state,
-                params,
-                recovery,
-                &self.epochs[epoch_index..epoch_index + span],
-                offset,
-                &mut self.columns_scratch[battery],
-            );
-            let under_cap = self.column_cache.len() < MAX_COLUMN_CACHE_ENTRIES;
-            match self.column_cache.get_mut(&key) {
-                // Extending an existing prefix never adds an entry, so it
-                // is allowed even at the cache cap.
-                Some(cached) => cached.clone_from_column(&self.columns_scratch[battery]),
-                None if under_cap => {
-                    self.column_cache.insert(key, self.columns_scratch[battery].clone());
-                }
-                None => from_scratch[battery] = true,
-            }
-        }
-        let empty = ServiceColumn::default();
-        let mut columns: [&ServiceColumn; MAX_BOUND_BATTERIES] = [&empty; MAX_BOUND_BATTERIES];
-        for battery in 0..battery_count {
-            columns[battery] = if from_scratch[battery] {
-                &self.columns_scratch[battery]
-            } else {
-                self.column_cache.get(&keys[battery]).unwrap_or(&empty)
-            };
-        }
-        // Flat extension of a cumulative column past its end (the prefix
-        // build covers every epoch the walk can reach before its early
-        // exit, so this is defensive only).
-        let entry = |column: &[u64], index: usize| {
-            column.get(index).or_else(|| column.last()).copied().unwrap_or(0)
-        };
-
-        let mut cumulative_demand: u64 = 0;
-        let mut whole_epochs: u64 = 0;
-        let mut steps: u64 = 0;
-        let mut offset = offset;
-        let mut job_epoch = 0usize;
-        for epoch in &self.epochs[epoch_index..] {
-            let whole = offset == 0;
-            let duration = epoch.duration_steps() - offset;
-            offset = 0;
-            if epoch.is_idle() {
-                steps += duration;
-                continue;
-            }
-            if steps > limit {
-                return steps;
-            }
-            let interval = u64::from(epoch.draw_interval_steps());
-            let units = u64::from(epoch.units_per_draw());
-            let draws_possible = duration / interval;
-            let epoch_demand = draws_possible * units;
-            let capacity: u64 = columns[..battery_count]
-                .iter()
-                .map(|column| entry(&column.units, job_epoch))
-                .fold(0, u64::saturating_add);
-            let mut death: Option<u64> = None;
-            if cumulative_demand.saturating_add(epoch_demand) > capacity {
-                // The relaxed fleet dies in this epoch: it can cover
-                // `capacity − cumulative_demand` more units, i.e. that many
-                // whole draws, and survives one draw interval past the last
-                // covered draw (or to the first draw, if none).
-                let draws_served = capacity.saturating_sub(cumulative_demand) / units;
-                death = Some(steps + (draws_served + 1).min(draws_possible) * interval);
-            }
-            // Serialization cut: of the `whole_epochs` whole job epochs so
-            // far, at most `alive` can be split between batteries (every
-            // mid-epoch handoff consumes one of the remaining deaths); the
-            // rest must each be served whole by a single battery, and
-            // `Σ full_epochs` caps how many whole serves the fleet has.
-            // The fractional LP may still split a whole serve across
-            // batteries, so this is the relaxation's integral face — it is
-            // what keeps the bound from degenerating to the charge budget
-            // on fresh fleets, where per-unit capacity is plentiful but
-            // serialized epoch coverage is not.
-            if whole && epoch_demand > 0 {
-                whole_epochs += 1;
-                let full_serves: u64 = columns[..battery_count]
-                    .iter()
-                    .map(|column| entry(&column.full_epochs, job_epoch))
-                    .fold(0, u64::saturating_add);
-                if whole_epochs.saturating_sub(alive) > full_serves {
-                    // Some prior whole epoch cannot be fully covered; the
-                    // system dies by this epoch's last draw at the latest.
-                    let at_last_draw = steps + draws_possible * interval;
-                    death = Some(death.map_or(at_last_draw, |d| d.min(at_last_draw)));
-                }
-            }
-            if let Some(death) = death {
-                return death;
-            }
-            cumulative_demand += epoch_demand;
-            steps += duration;
-            job_epoch += 1;
         }
         steps
     }

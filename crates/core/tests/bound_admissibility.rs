@@ -11,14 +11,16 @@
 //!   pruning-free reference search (`OptimalScheduler::reference()`),
 //! * it never explores more nodes than the same search *without* the
 //!   availability bound (the full pre-availability search), and
-//! * the bound evaluated at the root is at least the optimal lifetime.
+//! * every root bound — charge, availability and the min-cost-flow
+//!   relaxation the root pass evaluates — is at least the optimal
+//!   lifetime.
 //!
 //! The newly contained alternating-load frontier instance (3×B1 on
 //! `ILs alt`) is pinned as a golden: lifetime and node counts are
 //! deterministic, so any regression of the bound shows up as an exact
 //! mismatch here before it shows up in CI's bench gate.
 
-use battery_sched::optimal::OptimalScheduler;
+use battery_sched::optimal::{OptimalScheduler, RootBounds};
 use battery_sched::policy::FixedSchedule;
 use battery_sched::system::{simulate_policy, SystemConfig};
 use dkibam::Discretization;
@@ -46,25 +48,16 @@ fn random_profiles(seeds: &[u64]) -> Vec<LoadProfile> {
 }
 
 /// The admissibility suite for one instance: exact lifetime against the
-/// reference search under every bound ablation, node-count monotonicity
-/// as bounds are added (charge-only ⊇ availability ⊇ relaxation), and
-/// root bounds at or above the optimum.
+/// reference search with and without the availability bound, node-count
+/// monotonicity (default ⊆ charge-only), and root bounds at or above the
+/// optimum.
 fn assert_admissible(config: &SystemConfig, profile: &LoadProfile, label: &str) {
     let reference = OptimalScheduler::reference().find_optimal(config, profile).unwrap();
     let with_bound = OptimalScheduler::new().find_optimal(config, profile).unwrap();
-    let without_relax =
-        OptimalScheduler::new().without_relax_bound().find_optimal(config, profile).unwrap();
-    let without_bound = OptimalScheduler::new()
-        .without_relax_bound()
-        .without_availability_bound()
-        .find_optimal(config, profile)
-        .unwrap();
+    let without_bound =
+        OptimalScheduler::new().without_availability_bound().find_optimal(config, profile).unwrap();
     assert_eq!(
         with_bound.lifetime_steps, reference.lifetime_steps,
-        "{label}: the relaxation bound changed the optimum"
-    );
-    assert_eq!(
-        without_relax.lifetime_steps, reference.lifetime_steps,
         "{label}: the availability bound changed the optimum"
     );
     assert_eq!(
@@ -72,15 +65,9 @@ fn assert_admissible(config: &SystemConfig, profile: &LoadProfile, label: &str) 
         "{label}: the charge-only search changed the optimum"
     );
     assert!(
-        with_bound.nodes_explored <= without_relax.nodes_explored,
-        "{label}: the relaxation bound grew the search ({} vs {})",
-        with_bound.nodes_explored,
-        without_relax.nodes_explored
-    );
-    assert!(
-        without_relax.nodes_explored <= without_bound.nodes_explored,
+        with_bound.nodes_explored <= without_bound.nodes_explored,
         "{label}: the availability bound grew the search ({} vs {})",
-        without_relax.nodes_explored,
+        with_bound.nodes_explored,
         without_bound.nodes_explored
     );
     // The decision sequence replays to the exact optimum.
@@ -151,30 +138,23 @@ fn three_battery_bound_is_admissible() {
 
 /// The frontier golden: 3×B1 on the alternating load. The charge bound
 /// never fires here (the load strands ~70 % of the charge), so the whole
-/// reduction against the charge-only search is the availability and
-/// relaxation bounds' doing. Values are pinned exactly — node counts are
-/// deterministic.
+/// reduction against the charge-only search is the availability bound's
+/// doing. Values are pinned exactly — node counts are deterministic.
 #[test]
 fn three_b1_alternating_frontier_is_pinned() {
     let config = coarse_uniform(3);
     let profile = TestLoad::IlsAlt.profile();
     let full = OptimalScheduler::new().find_optimal(&config, &profile).unwrap();
-    let without_relax =
-        OptimalScheduler::new().without_relax_bound().find_optimal(&config, &profile).unwrap();
     let charge_only = OptimalScheduler::new()
-        .without_relax_bound()
         .without_availability_bound()
         .find_optimal(&config, &profile)
         .unwrap();
     assert_eq!(full.lifetime_steps, 740, "3xB1 ILs alt optimum (coarse grid)");
-    assert_eq!(full.lifetime_steps, without_relax.lifetime_steps);
     assert_eq!(full.lifetime_steps, charge_only.lifetime_steps);
-    assert_eq!(full.nodes_explored, 22_923, "relaxation-bounded node count");
-    assert_eq!(without_relax.nodes_explored, 53_595, "availability-bounded node count");
+    assert_eq!(full.nodes_explored, 53_595, "availability-bounded node count");
     assert_eq!(charge_only.nodes_explored, 208_504, "charge-only node count");
     assert_eq!(full.charge_bound_prunes, 0, "the charge bound never fires on ILs alt");
-    assert!(full.availability_bound_prunes > 5_000, "the availability bound still fires first");
-    assert!(full.relax_bound_prunes > 5_000, "the relaxation bound carries the rest");
+    assert!(full.availability_bound_prunes > 5_000, "the availability bound carries the search");
     assert_eq!(full.seeded_by, Some("round robin"));
 }
 
@@ -197,4 +177,36 @@ fn alternating_root_bounds_are_pinned() {
     assert!(bounds.relaxation >= 330, "the relaxation bound must stay above the 330-step optimum");
     assert!(bounds.warm_start >= 328, "LP rounding must not lose to the old policy seeds");
     assert!(bounds.warm_start <= 330);
+}
+
+/// The root pass builds the fresh fleet's service columns once and shares
+/// them between the LP-rounding warm start and the relaxation root bound.
+/// The bounds it reports are pinned — charge / availability / relaxation /
+/// warm start, in steps — on the four contained frontier instances, at the
+/// values the per-consumer column builds produced before the sharing.
+#[test]
+fn root_pass_bounds_are_pinned_on_the_frontier_instances() {
+    let cases = [
+        ("2xB1 ILs alt", coarse_uniform(2), TestLoad::IlsAlt, [1140, 650, 540, 328]),
+        ("3xB1 ILs alt", coarse_uniform(3), TestLoad::IlsAlt, [1740, 1368, 1282, 648]),
+        ("B1+B2 ILs alt", coarse_mixed(), TestLoad::IlsAlt, [1740, 1368, 1762, 806]),
+        ("2xB1 ILs 250", coarse_uniform(2), TestLoad::Ils250, [1740, 1372, 1140, 780]),
+    ];
+    for (label, config, load, [charge, availability, relaxation, warm_start]) in cases {
+        let load = config.discretize(&load.profile()).unwrap();
+        let mut model = config.discretized_model();
+        let root = OptimalScheduler::root_pass(&config, &load, &mut model).unwrap();
+        assert_eq!(
+            root.bounds,
+            RootBounds { charge, availability, relaxation, warm_start },
+            "{label}: root bounds moved"
+        );
+        // The probe is the same pass, and the search it seeds proves the
+        // optimum the one-shot entry point proves.
+        let probed = OptimalScheduler::probe_root_bounds(&config, &load, &mut model).unwrap();
+        assert_eq!(probed, root.bounds, "{label}: probe and root pass disagree");
+        let seeded = OptimalScheduler::new().search_from(&config, &load, &mut model, root).unwrap();
+        let one_shot = OptimalScheduler::new().find_optimal_on(&config, &load).unwrap();
+        assert_eq!(seeded, one_shot, "{label}: the seeded search diverged");
+    }
 }

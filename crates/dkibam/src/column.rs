@@ -1,13 +1,14 @@
 //! Exact single-battery service columns over a load's draw-slot timeline.
 //!
-//! The relaxation bound of the optimal search (see `battery-sched` and the
+//! The relaxation of the optimal search (see `battery-sched` and the
 //! `relax` crate) treats the fleet as a transportation problem: battery `i`
 //! may serve at most `column[i][e]` charge units among the job epochs
 //! `0..=e`, and the load demands its draws per epoch. This module computes
 //! those per-battery **columns exactly** with a dynamic program over the
 //! battery's real discrete dynamics — the ROADMAP's "exact single-battery
-//! DP over the load's draw-slot timeline", shipped as the bound's column
-//! generator.
+//! DP over the load's draw-slot timeline", shipped as the relaxation's
+//! column generator. The search builds the fresh fleet's columns once per
+//! request, for its root relaxation bound and its LP-rounding warm start.
 //!
 //! At every draw slot a battery either serves the draw or recovers through
 //! it (another battery serving); the DP carries a Pareto front of
@@ -50,12 +51,13 @@
 use crate::{DiscreteBattery, DiscreteEpoch, RecoveryTable};
 use kibam::BatteryParams;
 
-/// Default Pareto-front cap used by the search's relaxation bound. On the
+/// Default Pareto-front cap used by the search's relaxation. On the
 /// paper's alternating full-horizon timelines the uncapped front peaks
 /// near ~85 traces and a cap of 64 reproduces the uncapped column exactly,
 /// while a small cap (e.g. 12) inflates the tail ~2× through repeated
 /// super-state merges; 64 keeps the column exact there at an acceptable
-/// build cost (columns are cached by the search).
+/// build cost (the search builds one column per battery per request, at
+/// the root).
 pub const DEFAULT_FRONT_CAP: usize = 64;
 
 /// A battery's per-epoch service capacities: for each job epoch `e`,
@@ -152,8 +154,8 @@ fn epoch_trace_dominates(a: &EpochTrace, b: &EpochTrace) -> bool {
 }
 
 /// Reusable builder of exact per-battery service columns. Holds the trace
-/// arenas so repeated builds (one per battery per search node, cached by
-/// the caller) do not allocate in steady state.
+/// arenas so repeated builds (one per battery of a fleet) do not allocate
+/// in steady state.
 #[derive(Debug, Clone)]
 pub struct ColumnBuilder {
     front: Vec<Trace>,

@@ -23,7 +23,7 @@
 //! * [`ColumnBuilder`] — exact per-battery service columns over a load's
 //!   draw-slot timeline (a serve/skip dynamic program with Pareto-front
 //!   pruning), the column generator of the `relax` crate's min-cost-flow
-//!   relaxation bound;
+//!   relaxation (the search's root bound and LP-rounding warm start);
 //! * [`DiscreteBattery`] — the integer battery state (`n_gamma`, `m_delta`)
 //!   with discharge, recovery and the emptiness test of Eq. 8;
 //! * [`DiscretizedLoad`] — a [`workload::LoadProfile`] converted to the

@@ -66,9 +66,6 @@ pub struct SearchStats {
     pub charge_bound_prunes: u64,
     /// Nodes cut by the availability-aware (recovery-coupled) upper bound.
     pub availability_bound_prunes: u64,
-    /// Nodes cut by the min-cost-flow relaxation bound over exact
-    /// per-battery service columns.
-    pub relax_bound_prunes: u64,
 }
 
 /// The measured outcome of one scenario.
@@ -98,9 +95,10 @@ pub struct ScenarioResult {
     /// [`PolicyKind::Optimal`] scenarios (the per-bound tightness record
     /// the bench artifacts archive).
     pub root_bounds: Option<RootBounds>,
-    /// Wall-clock cost of constructing and evaluating the root bounds in
-    /// microseconds, for [`PolicyKind::Optimal`] scenarios. Measurement
-    /// noise like `wall_micros`: excluded from artifact comparison.
+    /// Wall-clock cost of the search's root pass (warm start, service
+    /// columns and root bounds) in microseconds, for
+    /// [`PolicyKind::Optimal`] scenarios. Measurement noise like
+    /// `wall_micros`: excluded from artifact comparison.
     pub bound_micros: Option<u64>,
 }
 
@@ -143,7 +141,6 @@ impl ScenarioResult {
                     "availability_bound_prunes",
                     JsonValue::Number(stats.availability_bound_prunes as f64),
                 ),
-                ("relax_bound_prunes", JsonValue::Number(stats.relax_bound_prunes as f64)),
             ]);
         }
         if let Some(seeded_by) = &self.seeded_by {
@@ -449,8 +446,9 @@ pub fn run_scenario_with_cache(
     execute_cell(scenario, system, &load)
 }
 
-/// Probes the root bounds (timed — this is where the bound construction
-/// cost of an optimal cell lives) and then runs the search, on one backend.
+/// Runs an optimal cell in two phases on one backend: the root pass
+/// (timed as `bound_micros` — the warm start, the one column build and the
+/// root bounds), then the search seeded from that pass's incumbent.
 fn probe_and_search<M: BatteryModel>(
     scheduler: &OptimalScheduler,
     config: &SystemConfig,
@@ -459,9 +457,10 @@ fn probe_and_search<M: BatteryModel>(
 ) -> Result<(RootBounds, u64, OptimalOutcome), battery_sched::SchedError> {
     // xlint: allow(clock) -- bound_micros is measurement-only, excluded from --compare
     let start = Instant::now();
-    let bounds = OptimalScheduler::probe_root_bounds(config, load, model)?;
+    let root = OptimalScheduler::root_pass(config, load, model)?;
     let bound_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let outcome = scheduler.find_optimal_with(config, load, model)?;
+    let bounds = root.bounds;
+    let outcome = scheduler.search_from(config, load, model, root)?;
     Ok((bounds, bound_micros, outcome))
 }
 
@@ -503,7 +502,6 @@ fn execute_cell(
                     dominance_prunes: optimal.dominance_prunes as u64,
                     charge_bound_prunes: optimal.charge_bound_prunes as u64,
                     availability_bound_prunes: optimal.availability_bound_prunes as u64,
-                    relax_bound_prunes: optimal.relax_bound_prunes as u64,
                 };
                 let minutes = optimal.lifetime_minutes(&system.config);
                 let seeded_by = optimal.seeded_by.map(str::to_owned);

@@ -18,9 +18,10 @@
 //! arcs. [`coverage_bound`] evaluates that closed form directly — an
 //! `O(B·E)` walk — and [`max_coverage`] solves the same network with an
 //! actual successive-shortest-path min-cost flow, returning a concrete
-//! integral assignment (used to round a warm-start schedule). The search
-//! bound in `battery-sched` uses the closed-form walk per node; the flow
-//! solver cross-checks the equality in tests and powers the rounding.
+//! integral assignment (used to round a warm-start schedule). The root
+//! bound in `battery-sched` uses the closed-form walk, once per search;
+//! the flow solver cross-checks the equality in tests and powers the
+//! rounding.
 //!
 //! Everything here is integer arithmetic on `u64` capacities with `i64`
 //! arc costs (distances in `i128`), deterministic, allocation-light and

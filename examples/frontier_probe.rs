@@ -1,5 +1,6 @@
-//! Probes the alternating-load search frontier: root upper bounds and
-//! branch-and-bound node counts under each bound ablation.
+//! Probes the alternating-load search frontier: root upper bounds, and
+//! branch-and-bound node counts and wall time with and without the
+//! availability bound.
 //!
 //! The `ILs alt` load strands ~70 % of the fleet's charge, so the charge
 //! bound wildly overestimates the remaining lifetime and 3+-battery
@@ -9,8 +10,9 @@
 //! * the root values of all three upper bounds (charge, availability,
 //!   min-cost-flow relaxation) next to the warm-start incumbent (how tight
 //!   is each bound before a single node is explored?), and
-//! * the full search (relaxation on) against the relaxation-ablated and
-//!   the charge-only searches (what does each bound buy in nodes?).
+//! * the default search against the charge-only search (what does the
+//!   availability bound buy in nodes, and in wall time?), with the
+//!   within-run wall-time ratio default / charge-only.
 //!
 //! ```text
 //! cargo run --release --example frontier_probe [NODE_BUDGET] [--smoke]
@@ -20,8 +22,8 @@
 //! measure how far a search gets before giving up. `--smoke` restricts
 //! the searches to the cheap fleets (2×B1 and 3×B1) so CI can exercise
 //! the probe end-to-end in seconds; the root-bound table still covers
-//! every fleet (bounds are a few policy simulations plus one relaxation
-//! solve, not searches).
+//! every fleet (each is one root pass: a few policy simulations plus one
+//! service-column build, not a search).
 
 use battery_sched::optimal::OptimalScheduler;
 use battery_sched::system::SystemConfig;
@@ -41,8 +43,8 @@ fn main() {
             }
         }
     }
-    // The smoke budget contains the 3xB1 availability-ablated search
-    // (~208.5k nodes), so a clean run explores every smoke case fully.
+    // The smoke budget contains the 3xB1 charge-only search (~208.5k
+    // nodes), so a clean run explores every smoke case fully.
     let budget = budget.unwrap_or(if smoke { 300_000 } else { 2_000_000 });
 
     let disc = Discretization::coarse();
@@ -79,35 +81,40 @@ fn main() {
     println!("\nsearches (budget {budget} nodes):");
     let searched: &[(&str, SystemConfig)] = if smoke { &cases[..2] } else { &cases[..] };
     for (name, config) in searched {
-        for (which, scheduler) in [
-            ("relax", OptimalScheduler::with_budget(budget)),
-            ("avail", OptimalScheduler::with_budget(budget).without_relax_bound()),
-            (
-                "charge",
-                OptimalScheduler::with_budget(budget)
-                    .without_relax_bound()
-                    .without_availability_bound(),
-            ),
-        ] {
+        let mut wall = [None; 2];
+        for (slot, (which, scheduler)) in [
+            ("default", OptimalScheduler::with_budget(budget)),
+            ("charge", OptimalScheduler::with_budget(budget).without_availability_bound()),
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let start = Instant::now();
-            match scheduler.find_optimal(config, &load) {
-                Ok(outcome) => println!(
-                    "  {name:>8} {which:>6}: {} steps, {} nodes, memo {}, dom {}, charge {}, \
-                     avail {}, relax {}, seeded {:?}, {:.2?}",
-                    outcome.lifetime_steps,
-                    outcome.nodes_explored,
-                    outcome.memo_hits,
-                    outcome.dominance_prunes,
-                    outcome.charge_bound_prunes,
-                    outcome.availability_bound_prunes,
-                    outcome.relax_bound_prunes,
-                    outcome.seeded_by,
-                    start.elapsed()
-                ),
-                Err(error) => {
-                    println!("  {name:>8} {which:>6}: {error} ({:.2?})", start.elapsed());
+            let result = scheduler.find_optimal(config, &load);
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            match result {
+                Ok(outcome) => {
+                    wall[slot] = Some(ms);
+                    println!(
+                        "  {name:>8} {which:>7}: {} steps, {} nodes, memo {}, dom {}, charge {}, \
+                         avail {}, seeded {:?}, {ms:.1} ms",
+                        outcome.lifetime_steps,
+                        outcome.nodes_explored,
+                        outcome.memo_hits,
+                        outcome.dominance_prunes,
+                        outcome.charge_bound_prunes,
+                        outcome.availability_bound_prunes,
+                        outcome.seeded_by,
+                    );
                 }
+                Err(error) => println!("  {name:>8} {which:>7}: {error} ({ms:.1} ms)"),
             }
+        }
+        if let [Some(default), Some(charge)] = wall {
+            println!(
+                "  {name:>8}   ratio: default / charge-only wall time {:.2}",
+                default / charge
+            );
         }
     }
 }
