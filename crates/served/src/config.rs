@@ -74,7 +74,8 @@ pub const USAGE: &str = "served: battery-scheduling service (line-delimited JSON
 
 USAGE:
     served --stdin
-    served --listen ADDR            e.g. --listen 127.0.0.1:7070
+    served --listen ADDR            e.g. --listen 127.0.0.1:7070; port 0 picks a
+                                    free port (the bound address goes to stderr)
     served --smoke [--min-throughput RPS] [--bench-out PATH]
 
 OPTIONS:

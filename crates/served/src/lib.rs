@@ -17,15 +17,17 @@
 //! - **micro-batching workers**: each worker drains a slice of the queue
 //!   and answers it in one [`engine::api::run_requests`] call, over one
 //!   worker cache, through the same per-cell path and stepping kernels as
-//!   grid workers;
+//!   grid workers. A new request wakes the most recently idle worker, so a
+//!   lone closed-loop client stays on one worker;
 //! - the **process-wide system cache** ([`engine::SharedSystemCache`]):
 //!   recovery/service/RV step tables are built once per (fleet,
 //!   discretization) across all requests ever, and the hit/build counters
 //!   land in the `BENCH_serve.json` smoke artifact.
 //!
-//! The [`Server`] type is library-level so tests can drive connections
-//! over in-memory readers and writers; the binary is a thin mode switch
-//! around it.
+//! The [`Server`] type is library-level, TCP accept loop included
+//! ([`Server::serve_tcp`]), so tests can drive connections over in-memory
+//! readers and writers or a loopback socket; the binary is a thin mode
+//! switch around it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

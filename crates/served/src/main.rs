@@ -1,10 +1,8 @@
 //! The `served` binary: a thin mode switch over [`served::Server`].
 
 use served::{parse_args, run_smoke, Mode, Server, USAGE};
-use std::io::BufReader;
 use std::net::TcpListener;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 fn main() -> ExitCode {
     let cli = match parse_args() {
@@ -42,7 +40,8 @@ fn serve_stdin(config: served::ServeConfig) -> ExitCode {
     }
 }
 
-/// Accepts TCP connections, one protocol stream per connection.
+/// Binds `addr` and serves TCP connections until the process is killed.
+/// Prints the bound address, so `--listen 127.0.0.1:0` reports its port.
 fn serve_tcp(config: served::ServeConfig, addr: &str) -> ExitCode {
     let listener = match TcpListener::bind(addr) {
         Ok(listener) => listener,
@@ -51,30 +50,11 @@ fn serve_tcp(config: served::ServeConfig, addr: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    eprintln!("served: listening on {addr}");
-    let server = Arc::new(Server::start(config));
-    for stream in listener.incoming() {
-        let stream = match stream {
-            Ok(stream) => stream,
-            Err(error) => {
-                eprintln!("error: accept failed: {error}");
-                continue;
-            }
-        };
-        let reader = match stream.try_clone() {
-            Ok(clone) => BufReader::new(clone),
-            Err(error) => {
-                eprintln!("error: cannot clone connection: {error}");
-                continue;
-            }
-        };
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || {
-            if let Err(error) = server.serve_connection(reader, stream) {
-                eprintln!("error: connection failed: {error}");
-            }
-        });
+    match listener.local_addr() {
+        Ok(bound) => eprintln!("served: listening on {bound}"),
+        Err(error) => eprintln!("served: listening on {addr} (bound address unknown: {error})"),
     }
+    Server::start(config).serve_tcp(listener.incoming());
     ExitCode::SUCCESS
 }
 

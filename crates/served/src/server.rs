@@ -10,12 +10,16 @@ use engine::{
     WorkerCache,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// The channel a connection's writer receives `(seq, response line)` on.
+type Reply = Sender<(u64, String)>;
 
 /// One queued request with its reply route: the connection's sequence
 /// number (for in-order writing) and the channel back to its writer.
@@ -24,15 +28,23 @@ struct Job {
     request: Request,
     /// When the request entered the queue (latency measurement only).
     queued: Instant,
-    reply: Sender<(u64, String)>,
+    reply: Reply,
+}
+
+/// The request queue and the workers waiting on it, under one mutex.
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Indices of the idle workers, the most recently idle last.
+    idle: Vec<usize>,
 }
 
 /// State shared between connections and workers.
 struct ServerState {
     config: ServeConfig,
-    queue: Mutex<VecDeque<Job>>,
-    /// Signals workers that the queue is non-empty (or shutting down).
-    available: Condvar,
+    queue: Mutex<Queue>,
+    /// One wake-up per worker, so a submitter chooses which worker runs a
+    /// new job (see [`worker_loop`]); all of them on shutdown.
+    wakeups: Vec<Condvar>,
     shutting_down: AtomicBool,
     cache: Arc<SharedSystemCache>,
     metrics: Arc<Metrics>,
@@ -56,18 +68,19 @@ impl Server {
     /// Starts the worker threads.
     #[must_use]
     pub fn start(config: ServeConfig) -> Self {
+        let workers = config.workers.max(1);
         let state = Arc::new(ServerState {
             config: config.clone(),
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
+            queue: Mutex::new(Queue { jobs: VecDeque::new(), idle: Vec::with_capacity(workers) }),
+            wakeups: (0..workers).map(|_| Condvar::new()).collect(),
             shutting_down: AtomicBool::new(false),
             cache: Arc::new(SharedSystemCache::new()),
             metrics: Arc::new(Metrics::new()),
         });
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
+        let workers = (0..workers)
+            .map(|index| {
                 let state = Arc::clone(&state);
-                std::thread::spawn(move || worker_loop(&state))
+                std::thread::spawn(move || worker_loop(&state, index))
             })
             .collect();
         Self { state, workers: Mutex::new(workers) }
@@ -88,9 +101,13 @@ impl Server {
     /// Stops accepting work, answers everything still queued, and joins
     /// the workers. Idempotent.
     pub fn shutdown(&self) {
+        let queue = self.state.queue.lock().unwrap_or_else(PoisonError::into_inner);
         // ordering: Relaxed — a latch only; the queue mutex orders the drain.
         self.state.shutting_down.store(true, Ordering::Relaxed);
-        self.state.available.notify_all();
+        drop(queue);
+        for wakeup in &self.state.wakeups {
+            wakeup.notify_all();
+        }
         let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
         for worker in workers.drain(..) {
             // A worker that panicked already answered with poisoned locks;
@@ -157,9 +174,50 @@ impl Server {
         }
     }
 
+    /// Serves TCP connections, usually `listener.incoming()`: each one is
+    /// a protocol stream ([`Server::serve_connection`]) on its own thread.
+    /// Returns once `connections` ends and every open connection has
+    /// closed. Failures are logged to stderr and the loop keeps serving.
+    ///
+    /// Every accepted stream gets `TCP_NODELAY`. Responses leave in
+    /// whole-line writes, so Nagle's algorithm gains nothing; it would only
+    /// hold an answer back while an earlier one is unacknowledged (a
+    /// pipelining client) until the client's delayed ACK, ~40 ms later.
+    pub fn serve_tcp<I>(&self, connections: I)
+    where
+        I: IntoIterator<Item = std::io::Result<TcpStream>>,
+    {
+        std::thread::scope(|scope| {
+            for stream in connections {
+                let stream = match stream {
+                    Ok(stream) => stream,
+                    Err(error) => {
+                        eprintln!("error: accept failed: {error}");
+                        continue;
+                    }
+                };
+                if let Err(error) = stream.set_nodelay(true) {
+                    eprintln!("warning: cannot set TCP_NODELAY: {error}");
+                }
+                let reader = match stream.try_clone() {
+                    Ok(clone) => BufReader::new(clone),
+                    Err(error) => {
+                        eprintln!("error: cannot clone connection: {error}");
+                        continue;
+                    }
+                };
+                scope.spawn(move || {
+                    if let Err(error) = self.serve_connection(reader, stream) {
+                        eprintln!("error: connection failed: {error}");
+                    }
+                });
+            }
+        });
+    }
+
     /// Parses one raw line and either queues it or answers it immediately
     /// (parse failure, admission refusal, overload).
-    fn submit_line(&self, line: &[u8], seq: u64, reply: &Sender<(u64, String)>) {
+    fn submit_line(&self, line: &[u8], seq: u64, reply: &Reply) {
         self.state.metrics.request();
         let parsed = std::str::from_utf8(line)
             .map_err(|error| ServeError {
@@ -186,7 +244,7 @@ impl Server {
         let mut queue = self.state.queue.lock().unwrap_or_else(PoisonError::into_inner);
         // ordering: Relaxed — checked under the queue mutex shutdown also takes.
         if self.state.shutting_down.load(Ordering::Relaxed)
-            || queue.len() >= self.state.config.queue_capacity
+            || queue.jobs.len() >= self.state.config.queue_capacity
         {
             drop(queue);
             self.state.metrics.overloaded();
@@ -196,9 +254,12 @@ impl Server {
             let _ = reply.send((seq, render_response(&response)));
             return;
         }
-        queue.push_back(job);
+        queue.jobs.push_back(job);
+        let idle = queue.idle.pop();
         drop(queue);
-        self.state.available.notify_one();
+        if let Some(worker) = idle {
+            self.state.wakeups[worker].notify_one();
+        }
     }
 
     /// Checks the request against its class's admission budget.
@@ -223,13 +284,7 @@ impl Server {
 
     /// Sends an error response for a request that never reached the queue,
     /// echoing the request id when the line parsed far enough to have one.
-    fn answer_directly(
-        &self,
-        seq: u64,
-        id: JsonValue,
-        error: ServeError,
-        reply: &Sender<(u64, String)>,
-    ) {
+    fn answer_directly(&self, seq: u64, id: JsonValue, error: ServeError, reply: &Reply) {
         self.state.metrics.answered(false, 0);
         let response = Response::failure(id, error);
         let _ = reply.send((seq, render_response(&response)));
@@ -237,9 +292,9 @@ impl Server {
 }
 
 /// Whether the server told its workers to stop **and** the queue is empty.
-fn drained(state: &ServerState, queue: &VecDeque<Job>) -> bool {
+fn drained(state: &ServerState, queue: &Queue) -> bool {
     // ordering: Relaxed — read under the queue mutex; see `shutdown`.
-    state.shutting_down.load(Ordering::Relaxed) && queue.is_empty()
+    state.shutting_down.load(Ordering::Relaxed) && queue.jobs.is_empty()
 }
 
 /// One worker: drain up to `batch_max` queued jobs, answer them in one
@@ -249,31 +304,60 @@ fn drained(state: &ServerState, queue: &VecDeque<Job>) -> bool {
 /// cache: tables are cloned from the shared prototypes (never recomputed),
 /// worker memory stays bounded for a long-running process, and every
 /// batch's reuse is visible in the shared hit counters.
-fn worker_loop(state: &ServerState) {
+///
+/// A new job wakes the most recently idle worker, and a worker sends its
+/// replies under the queue mutex it then waits on, so it is idle again
+/// before any client can react to them. A closed-loop client is therefore
+/// served by one worker, not by whichever one wins a wake-up race. This
+/// bounds peak memory: the allocator keeps a per-thread arena, so every
+/// worker that has run a large optimal search keeps that search's
+/// footprint resident.
+fn worker_loop(state: &ServerState, index: usize) {
+    let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
     loop {
-        let jobs = {
-            let mut queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            while queue.is_empty() {
-                if drained(state, &queue) {
-                    return;
-                }
-                queue = state.available.wait(queue).unwrap_or_else(PoisonError::into_inner);
+        while queue.jobs.is_empty() {
+            if drained(state, &queue) {
+                return;
             }
-            let take = queue.len().min(state.config.batch_max);
-            queue.drain(..take).collect::<Vec<Job>>()
-        };
-        let requests: Vec<Request> = jobs.iter().map(|job| job.request.clone()).collect();
-        let mut cache = WorkerCache::with_shared(Arc::clone(&state.cache));
-        let mut responses = run_requests(&requests, &mut cache);
-        state.metrics.batch(jobs.len() as u64);
-        for (job, response) in jobs.iter().zip(responses.iter_mut()) {
-            // Latency is measurement-only; it never enters the result row.
-            let elapsed = job.queued.elapsed().as_micros();
-            response.latency_micros = Some(u64::try_from(elapsed).unwrap_or(u64::MAX));
-            state.metrics.answered(response.is_ok(), response.latency_micros.unwrap_or(0));
-            let _ = job.reply.send((job.seq, render_response(response)));
+            // A spurious wake-up leaves this worker listed, in its place.
+            if !queue.idle.contains(&index) {
+                queue.idle.push(index);
+            }
+            queue = state.wakeups[index].wait(queue).unwrap_or_else(PoisonError::into_inner);
+        }
+        // A submitter pops the worker it wakes; one that found work otherwise
+        // must not stay listed as idle.
+        queue.idle.retain(|&worker| worker != index);
+        let take = queue.jobs.len().min(state.config.batch_max);
+        let jobs: Vec<Job> = queue.jobs.drain(..take).collect();
+        drop(queue);
+        let answers = answer_batch(state, jobs);
+        queue = state.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        for (reply, seq, line) in answers {
+            let _ = reply.send((seq, line));
         }
     }
+}
+
+/// Answers one batch through the engine and renders each response, paired
+/// with its reply route. The batch's worker cache is freed on return.
+fn answer_batch(state: &ServerState, jobs: Vec<Job>) -> Vec<(Reply, u64, String)> {
+    let (requests, routes): (Vec<Request>, Vec<_>) = jobs
+        .into_iter()
+        .map(|Job { seq, request, queued, reply }| (request, (seq, queued, reply)))
+        .unzip();
+    let mut cache = WorkerCache::with_shared(Arc::clone(&state.cache));
+    let mut responses = run_requests(&requests, &mut cache);
+    state.metrics.batch(routes.len() as u64);
+    let mut answers = Vec::with_capacity(routes.len());
+    for ((seq, queued, reply), response) in routes.into_iter().zip(responses.iter_mut()) {
+        // Latency is measurement-only; it never enters the result row.
+        let elapsed = queued.elapsed().as_micros();
+        response.latency_micros = Some(u64::try_from(elapsed).unwrap_or(u64::MAX));
+        state.metrics.answered(response.is_ok(), response.latency_micros.unwrap_or(0));
+        answers.push((reply, seq, render_response(response)));
+    }
+    answers
 }
 
 /// Renders a response as one output line. Result rows only carry finite
@@ -339,35 +423,179 @@ fn read_limited_line<R: BufRead>(
 }
 
 /// Receives `(seq, line)` pairs and writes the lines in sequence order,
-/// buffering out-of-order arrivals. On disconnect, anything still pending
-/// (gaps can only come from a dropped reply sender) is flushed in order so
-/// no response is silently lost.
+/// buffering out-of-order arrivals. Each wake-up takes every response
+/// already queued on the channel and sends all lines that are now in order
+/// in **one** `write_all`, so a response never leaves as a line and a
+/// separate newline (which Nagle's algorithm would hold back until the
+/// peer's delayed ACK). On disconnect, anything still pending (gaps can only
+/// come from a dropped reply sender) is flushed in order, again in one
+/// write, so no response is silently lost.
 fn write_in_order<W: Write>(
     responses: mpsc::Receiver<(u64, String)>,
     mut output: W,
 ) -> std::io::Result<()> {
     let mut pending: BTreeMap<u64, String> = BTreeMap::new();
     let mut next: u64 = 0;
-    for (seq, line) in responses {
+    let mut bytes = Vec::new();
+    for (seq, line) in responses.iter() {
         pending.insert(seq, line);
+        pending.extend(responses.try_iter());
+        bytes.clear();
         while let Some(line) = pending.remove(&next) {
-            output.write_all(line.as_bytes())?;
-            output.write_all(b"\n")?;
+            push_line(&mut bytes, &line);
             next += 1;
         }
-        if pending.is_empty() {
+        if !bytes.is_empty() {
+            output.write_all(&bytes)?;
             output.flush()?;
         }
     }
-    for (_, line) in pending {
-        output.write_all(line.as_bytes())?;
-        output.write_all(b"\n")?;
+    bytes.clear();
+    for line in pending.values() {
+        push_line(&mut bytes, line);
+    }
+    if !bytes.is_empty() {
+        output.write_all(&bytes)?;
     }
     output.flush()
+}
+
+/// Appends one response line and its terminator to an outgoing buffer.
+fn push_line(bytes: &mut Vec<u8>, line: &str) {
+    bytes.extend_from_slice(line.as_bytes());
+    bytes.push(b'\n');
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `Write` that logs the bytes of every `write` call separately.
+    #[derive(Default)]
+    struct Recording {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Asserts that every write ends on a line terminator (so, since the
+    /// stream starts at a line boundary, carries only whole lines) and
+    /// returns the lines in stream order.
+    fn whole_lines(writes: &[Vec<u8>]) -> Vec<String> {
+        let mut lines = Vec::new();
+        for write in writes {
+            let text = std::str::from_utf8(write).expect("responses are UTF-8");
+            assert!(text.ends_with('\n'), "write {text:?} does not end on a line boundary");
+            lines.extend(text.lines().map(str::to_owned));
+        }
+        lines
+    }
+
+    #[test]
+    fn pipelined_responses_leave_in_whole_line_writes_in_request_order() {
+        // Two single-request workers finish queued requests out of order,
+        // and malformed lines are answered by the reader ahead of the
+        // queued requests before them.
+        let server = Server::start(ServeConfig { workers: 2, batch_max: 1, ..Default::default() });
+        let calls = 24;
+        let mut input = String::new();
+        for id in 0..calls {
+            let line = match id % 6 {
+                0 => format!(
+                    "{{\"id\":{id},\"battery\":\"B1\",\"count\":2,\"disc\":\"coarse\",\
+                     \"load\":\"ILs alt\",\"policy\":{{\"kind\":\"optimal\",\"budget\":100000}}}}"
+                ),
+                3 => format!("{{\"id\":{id},\"battery\":"),
+                _ => format!(
+                    "{{\"id\":{id},\"battery\":\"B1\",\"count\":2,\"load\":\"CL 500\",\
+                     \"policy\":\"round-robin\"}}"
+                ),
+            };
+            input.push_str(&line);
+            input.push('\n');
+        }
+        let mut output = Recording::default();
+        server.serve_connection(input.as_bytes(), &mut output).expect("in-memory I/O cannot fail");
+        server.shutdown();
+
+        let lines = whole_lines(&output.writes);
+        assert_eq!(lines.len(), calls);
+        assert!(output.writes.len() <= calls, "a response was split across writes");
+        for (index, line) in lines.iter().enumerate() {
+            let response = JsonValue::parse(line).expect("every line is one whole response");
+            let status = response.get("status").and_then(JsonValue::as_str);
+            if index % 6 == 3 {
+                assert_eq!(status, Some("error"), "line {index}");
+            } else {
+                assert_eq!(status, Some("ok"), "line {index}");
+                let id = response.get("id").and_then(JsonValue::as_u64);
+                assert_eq!(id, Some(index as u64), "responses must keep request order");
+            }
+        }
+    }
+
+    #[test]
+    fn a_closed_loop_client_stays_on_the_most_recently_idle_worker() {
+        let server = Server::start(ServeConfig { workers: 2, ..Default::default() });
+        let idle = || server.state.queue.lock().expect("no worker panics").idle.clone();
+        while idle().len() < 2 {
+            std::thread::yield_now();
+        }
+        let initial = idle();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+        let address = listener.local_addr().expect("a bound listener has an address");
+        std::thread::scope(|scope| {
+            // Connected inside the scope, so a failed assertion drops the
+            // client and ends the connection the scope then waits for.
+            let mut client = TcpStream::connect(address).expect("loopback connect");
+            scope.spawn(|| server.serve_tcp(listener.incoming().take(1)));
+            let mut replies = BufReader::new(client.try_clone().expect("clone client stream"));
+            for id in 0..10 {
+                let line = format!(
+                    "{{\"id\":{id},\"battery\":\"B1\",\"count\":2,\"load\":\"CL 500\",\
+                     \"policy\":\"round-robin\"}}\n"
+                );
+                client.write_all(line.as_bytes()).expect("send");
+                let mut answer = String::new();
+                replies.read_line(&mut answer).expect("receive");
+                assert!(answer.contains("\"status\":\"ok\""), "{answer}");
+                // The answering worker holds the queue mutex from its reply
+                // until it waits again, so this read sees it back on top of
+                // the idle stack, and the other worker still below it.
+                assert_eq!(idle(), initial, "call {id} left the most recently idle worker");
+            }
+            client.shutdown(std::net::Shutdown::Write).expect("half-close");
+        });
+        server.shutdown();
+    }
+
+    #[test]
+    fn ready_responses_join_into_one_write_and_the_disconnect_drain_keeps_order() {
+        let (reply, responses) = mpsc::channel();
+        // Sequence 3 never arrives (as if its job's sender were dropped):
+        // 0..=2 leave together once 0 is in, 4 and 5 in the drain.
+        for seq in [2, 1, 0, 5, 4] {
+            reply.send((seq, format!("line {seq}"))).expect("the receiver is alive");
+        }
+        drop(reply);
+        let mut output = Recording::default();
+        write_in_order(responses, &mut output).expect("in-memory I/O cannot fail");
+        assert_eq!(whole_lines(&output.writes), ["line 0", "line 1", "line 2", "line 4", "line 5"]);
+        assert_eq!(output.writes.len(), 2);
     }
 }

@@ -5,16 +5,80 @@
 //! line must get exactly one error response — with the parser's byte
 //! offset where one exists — and the server must keep answering the lines
 //! after it. Concurrent clients must each get their own responses, in
-//! their own request order, bit-identical to the batch engine.
+//! their own request order, bit-identical to the batch engine, and so must
+//! a plain TCP client calling over loopback, whose accepted stream has
+//! `TCP_NODELAY` set.
 
 use engine::json::JsonValue;
 use engine::{
     BackendKind, BatterySpec, DiscSpec, FleetDef, GridRun, LoadSpec, PolicyKind, Scenario,
-    ScenarioSpec,
+    ScenarioResult, ScenarioSpec,
 };
 use served::{ServeConfig, Server};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use workload::paper_loads::TestLoad;
+
+/// The reference loads and policies on 2 × B1.
+const LOADS: [TestLoad; 4] = [TestLoad::Cl500, TestLoad::Ils500, TestLoad::IlsAlt, TestLoad::Cl250];
+const POLICIES: [PolicyKind; 3] =
+    [PolicyKind::Sequential, PolicyKind::RoundRobin, PolicyKind::BestOfTwo];
+
+/// The batch engine's rows for every `LOADS` × `POLICIES` cell on 2 × B1.
+fn reference_grid() -> Vec<ScenarioResult> {
+    let spec = ScenarioSpec {
+        batteries: vec![BatterySpec::b1()],
+        battery_counts: vec![2],
+        fleets: vec![],
+        discretizations: vec![DiscSpec::paper()],
+        loads: LOADS.iter().map(|l| LoadSpec::Paper(*l)).collect(),
+        policies: POLICIES.to_vec(),
+        backends: vec![BackendKind::Discretized],
+    };
+    GridRun::new(&spec).collect().expect("the reference grid runs")
+}
+
+/// One cheap request line for a reference cell.
+fn request_line(id: usize, load: TestLoad, policy: PolicyKind) -> String {
+    format!(
+        "{{\"id\":{id},\"battery\":\"B1\",\"count\":2,\"load\":\"{}\",\"policy\":\"{}\"}}\n",
+        load.name(),
+        policy.name(),
+    )
+}
+
+/// Asserts an ok response's result row matches the batch engine's row for
+/// the same cell bit for bit: the exact JSON number encodings.
+fn assert_bit_identical(
+    reference: &[ScenarioResult],
+    response: &JsonValue,
+    load: TestLoad,
+    policy: PolicyKind,
+    context: &str,
+) {
+    assert_eq!(status(response), "ok", "{context}");
+    let scenario = Scenario {
+        fleet: FleetDef::uniform(BatterySpec::b1(), 2),
+        disc: DiscSpec::paper(),
+        load: LoadSpec::Paper(load),
+        policy,
+        backend: BackendKind::Discretized,
+    };
+    let expected = reference
+        .iter()
+        .find(|r| r.scenario == scenario)
+        .expect("every served cell exists in the reference grid");
+    let result = response.get("result").expect("ok responses carry a result row");
+    let expected_json = expected.to_json_value();
+    for field in ["lifetime_minutes", "residual_charge", "switches", "decisions"] {
+        assert_eq!(
+            result.get(field).map(|v| v.render().unwrap()),
+            expected_json.get(field).map(|v| v.render().unwrap()),
+            "{context}: field {field} diverges from the batch engine"
+        );
+    }
+}
 
 /// Drives one in-memory connection and returns the response lines.
 fn converse(server: &Server, input: &str) -> Vec<JsonValue> {
@@ -116,34 +180,15 @@ fn budget_exhaustion_is_answered_not_fatal() {
 
 #[test]
 fn concurrent_clients_get_their_own_answers_bit_identical_to_the_batch_engine() {
-    // The reference: a batch grid over loads × policies on 2 × B1.
-    let loads = [TestLoad::Cl500, TestLoad::Ils500, TestLoad::IlsAlt, TestLoad::Cl250];
-    let policies = [PolicyKind::Sequential, PolicyKind::RoundRobin, PolicyKind::BestOfTwo];
-    let spec = ScenarioSpec {
-        batteries: vec![BatterySpec::b1()],
-        battery_counts: vec![2],
-        fleets: vec![],
-        discretizations: vec![DiscSpec::paper()],
-        loads: loads.iter().map(|l| LoadSpec::Paper(*l)).collect(),
-        policies: policies.to_vec(),
-        backends: vec![BackendKind::Discretized],
-    };
-    let reference = GridRun::new(&spec).collect().expect("the reference grid runs");
-
+    let reference = reference_grid();
     let server = Arc::new(Server::start(ServeConfig::default()));
     let mut clients = Vec::new();
     for client in 0..4 {
         let server = Arc::clone(&server);
         clients.push(std::thread::spawn(move || {
             let mut input = String::new();
-            for (index, load) in loads.iter().enumerate() {
-                let policy = policies[(index + client) % policies.len()];
-                input.push_str(&format!(
-                    "{{\"id\":{index},\"battery\":\"B1\",\"count\":2,\"load\":\"{}\",\
-                     \"policy\":\"{}\"}}\n",
-                    load.name(),
-                    policy.name(),
-                ));
+            for (index, load) in LOADS.iter().enumerate() {
+                input.push_str(&request_line(index, *load, POLICIES[(index + client) % 3]));
             }
             let mut output = Vec::new();
             server
@@ -156,7 +201,7 @@ fn concurrent_clients_get_their_own_answers_bit_identical_to_the_batch_engine() 
         let (client, text) = handle.join().expect("client threads do not panic");
         let responses: Vec<JsonValue> =
             text.lines().map(|l| JsonValue::parse(l).expect("response parses")).collect();
-        assert_eq!(responses.len(), loads.len());
+        assert_eq!(responses.len(), LOADS.len());
         for (index, response) in responses.iter().enumerate() {
             // Responses come back in request order: ids are the line index.
             assert_eq!(
@@ -164,31 +209,46 @@ fn concurrent_clients_get_their_own_answers_bit_identical_to_the_batch_engine() 
                 Some(index as u64),
                 "client {client} got responses out of order"
             );
-            assert_eq!(status(response), "ok");
-            let policy = policies[(index + client) % policies.len()];
-            let scenario = Scenario {
-                fleet: FleetDef::uniform(BatterySpec::b1(), 2),
-                disc: DiscSpec::paper(),
-                load: LoadSpec::Paper(loads[index]),
-                policy,
-                backend: BackendKind::Discretized,
-            };
-            let expected = reference
-                .iter()
-                .find(|r| r.scenario == scenario)
-                .expect("every served cell exists in the reference grid");
-            let result = response.get("result").expect("ok responses carry a result row");
-            // Bit-identical: compare the exact JSON number encodings of the
-            // result row against the batch engine's rendering.
-            let expected_json = expected.to_json_value();
-            for field in ["lifetime_minutes", "residual_charge", "switches", "decisions"] {
-                assert_eq!(
-                    result.get(field).map(|v| v.render().unwrap()),
-                    expected_json.get(field).map(|v| v.render().unwrap()),
-                    "client {client} request {index}: field {field} diverges from the batch engine"
-                );
-            }
+            let policy = POLICIES[(index + client) % 3];
+            let context = format!("client {client} request {index}");
+            assert_bit_identical(&reference, response, LOADS[index], policy, &context);
         }
     }
+    server.shutdown();
+}
+
+#[test]
+fn tcp_connections_get_nodelay_and_sequential_calls_match_the_batch_engine() {
+    let reference = reference_grid();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+    let address = listener.local_addr().expect("a bound listener has an address");
+    let server = Server::start(ServeConfig::default());
+    let mut accepted = None;
+    std::thread::scope(|scope| {
+        // A default client: Nagle on, the kernel's delayed ACKs. Connected
+        // inside the scope, so a failed assertion drops it and ends the
+        // connection the scope then waits for.
+        let mut client = TcpStream::connect(address).expect("loopback connect");
+        assert_eq!(client.nodelay().ok(), Some(false));
+        let connections = listener.incoming().take(1).inspect(|stream| {
+            accepted = stream.as_ref().ok().map(|s| s.try_clone().expect("clone accepted stream"));
+        });
+        scope.spawn(|| server.serve_tcp(connections));
+        let mut reader = BufReader::new(client.try_clone().expect("clone client stream"));
+        for call in 0..20 {
+            let (load, policy) = (LOADS[call % 4], POLICIES[call % 3]);
+            client.write_all(request_line(call, load, policy).as_bytes()).expect("send");
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("receive");
+            assert!(line.ends_with('\n'), "call {call}: response line arrives whole");
+            let response = JsonValue::parse(line.trim_end()).expect("response parses");
+            assert_eq!(response.get("id").and_then(JsonValue::as_u64), Some(call as u64));
+            assert_bit_identical(&reference, &response, load, policy, &format!("call {call}"));
+        }
+        // End of input closes the connection; `serve_tcp` then returns.
+        client.shutdown(Shutdown::Write).expect("half-close");
+    });
+    let accepted = accepted.expect("serve_tcp accepted the client");
+    assert_eq!(accepted.nodelay().ok(), Some(true), "the accepted stream sets TCP_NODELAY");
     server.shutdown();
 }
