@@ -146,18 +146,11 @@ impl BatteryModel for DiscretizedKibam {
             .sum()
     }
 
-    fn service_envelope_into(
-        &self,
-        index: usize,
-        max_units_per_draw: u32,
-        out: &mut dkibam::ServiceEnvelope,
-    ) -> Option<&dkibam::ServiceRateTable> {
+    fn service_inputs(&self, index: usize) -> Option<(&dkibam::ServiceRateTable, u32, u32)> {
         let battery = &self.state.batteries()[index];
-        let table = self.fleet.service_of(index);
         // A retired battery serves nothing, ever: build from zero charge.
         let charge = if battery.is_observed_empty() { 0 } else { battery.charge_units() };
-        table.build_envelope(charge, battery.height_units(), max_units_per_draw, out);
-        Some(table)
+        Some((self.fleet.service_of(index), charge, battery.height_units()))
     }
 
     fn column_inputs(

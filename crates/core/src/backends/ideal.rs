@@ -167,7 +167,7 @@ impl BatteryModel for IdealBattery {
             .sum()
     }
 
-    // `service_envelope_into` deliberately stays at the trait default
+    // `service_inputs` deliberately stays at the trait default
     // (`None`): an ideal battery has no recovery dynamics to couple to, so
     // the availability bound has nothing to add over charge accounting —
     // the search degrades to the plain charge bound, which is exact for

@@ -14,7 +14,7 @@
 //! transposition table and dominance pruning of the optimal search engage —
 //! unlike the float-state continuous backend, which opts out of keying.
 //! Like the continuous backend, it explicitly opts **out** of
-//! [`BatteryModel::service_envelope_into`]: the availability bound's
+//! [`BatteryModel::service_inputs`]: the availability bound's
 //! service-frontier analysis is a KiBaM-shaped (Eq. 8) computation, and a
 //! diffusion battery has no equivalent precomputed frontier, so the search
 //! soundly degrades to the charge bound on this backend.
@@ -158,7 +158,7 @@ impl BatteryModel for RvDiffusion {
             .sum()
     }
 
-    // `service_envelope_into` deliberately stays at the trait default
+    // `service_inputs` deliberately stays at the trait default
     // (`None`): the availability bound's service envelopes are built from
     // the discretized KiBaM's Eq. 8 reachability analysis, which has no RV
     // counterpart here, so the search degrades to the (still admissible)

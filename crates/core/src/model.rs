@@ -318,29 +318,26 @@ pub trait BatteryModel {
     /// this: retired charge can never be delivered.
     fn usable_charge(&self) -> f64;
 
-    /// Builds the recovery-coupled service envelope of battery `index` —
-    /// an admissible upper bound on the charge units it could serve within
-    /// any future window, given its *current* state — into `out`, and
-    /// returns the battery type's [`dkibam::ServiceRateTable`] for
-    /// querying it ([`dkibam::ServiceRateTable::units_within`]).
-    /// `max_units_per_draw` is the largest single-draw size of the load
-    /// ahead (one final draw may overshoot the battery's service
-    /// frontier).
+    /// The inputs of battery `index`'s recovery-coupled service envelope:
+    /// its type's [`dkibam::ServiceRateTable`] and the charge and height
+    /// units to build from. The envelope
+    /// ([`dkibam::ServiceRateTable::build_envelope`]) is an admissible
+    /// upper bound on the charge units the battery could serve within any
+    /// future window, given its *current* state. It is a pure function of
+    /// these inputs and the load's largest draw, so the optimal search
+    /// builds each distinct envelope once and looks it up by
+    /// `(type_of(index), charge, height)` afterwards.
     ///
     /// The envelope may never undercount what a real schedule can extract
     /// — the availability-aware bound of the optimal search prunes on it,
     /// and an undercount would prune optimal schedules. Backends that
     /// cannot bound service return `None` (the default), which disables
     /// the availability bound and degrades the search to pure charge
-    /// accounting. Retired batteries must report an envelope capped at
-    /// zero units.
-    fn service_envelope_into(
-        &self,
-        index: usize,
-        max_units_per_draw: u32,
-        out: &mut dkibam::ServiceEnvelope,
-    ) -> Option<&dkibam::ServiceRateTable> {
-        let _ = (index, max_units_per_draw, out);
+    /// accounting. A retired battery must report zero charge units: it
+    /// serves nothing, ever, and so never shares a live battery's envelope
+    /// at the same height.
+    fn service_inputs(&self, index: usize) -> Option<(&dkibam::ServiceRateTable, u32, u32)> {
+        let _ = index;
         None
     }
 

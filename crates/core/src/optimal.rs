@@ -12,7 +12,7 @@
 //!   batteries jointly hold),
 //! * an **availability upper bound** that couples per-battery draw/recovery
 //!   dynamics with the load's duty cycle: each battery reports an
-//!   admissible service envelope ([`BatteryModel::service_envelope_into`],
+//!   admissible service envelope ([`BatteryModel::service_inputs`],
 //!   backed by the per-type [`dkibam::ServiceRateTable`]) bounding the
 //!   units it can serve within any window given the demand delivered by
 //!   then, and the bound walks the remaining epochs charging every draw
@@ -58,8 +58,15 @@
 //!
 //! The search runs on an explicit stack (no recursion) and is
 //! allocation-free per node in steady state: snapshots live in a pool
-//! indexed by depth, candidate buffers are arenas that grow only to the
-//! search's high-water mark, and availability queries reuse one buffer.
+//! indexed by depth, and candidate buffers are arenas that grow only to
+//! the search's high-water mark. The availability bound builds each
+//! distinct service envelope once per search: an envelope depends only on
+//! the battery's type, charge and height (and the load's largest draw,
+//! fixed per search), and a search revisits few of those — 3×B1 `ILs alt`
+//! asks for 160,788 envelopes over 53,595 nodes but only 356 distinct ones.
+//! A bounded per-search memo keeps them; past its cap, a miss is rebuilt
+//! into a scratch slot on every evaluation
+//! ([`OptimalOutcome::envelope_builds`] counts the builds).
 //!
 //! How much each pruning buys depends on the load: deep searches with
 //! converging histories (e.g. `ILs 250`, random loads, three-battery
@@ -188,6 +195,16 @@ const MAX_STATES_PER_POSITION: usize = 16;
 /// of exhausting memory.
 const MAX_MEMO_ENTRIES: usize = 1_000_000;
 
+/// The most service envelopes one search memoizes. Measured distinct
+/// envelopes per search: 46–402 on the contained frontier instances at the
+/// coarse grid (~1.5–2.7 KB each), 99–3,524 at the paper grid (~8–14 KB
+/// each; 3×B1 `ILs alt` is the largest, ~30 MB). The cap keeps that
+/// largest case with 2× headroom and bounds the memo to ~70–110 MB at the
+/// paper grid, the same order as the transposition table's bound. Past
+/// the cap a miss is built into a per-battery scratch slot instead, as if
+/// there were no memo.
+const MAX_ENVELOPE_ENTRIES: usize = 8_192;
+
 /// The most `(StateKey, elapsed)` entries retained across *all* dominance
 /// fronts, analogous to [`MAX_MEMO_ENTRIES`]: fine-grained loads can visit
 /// millions of distinct positions, and without a global cap the per-position
@@ -217,6 +234,11 @@ pub struct OptimalOutcome {
     /// Nodes cut by the availability-aware upper bound (recovery-coupled
     /// service envelopes) after the charge bound failed to fire.
     pub availability_bound_prunes: usize,
+    /// Service envelopes the availability bound built: the misses of the
+    /// search's envelope memo (every evaluation looks up one envelope per
+    /// battery; only a state not seen before, or one past the memo's cap,
+    /// costs a build).
+    pub envelope_builds: usize,
     /// The deterministic policy whose simulated lifetime seeded the warm
     /// start incumbent, or `None` if no policy produced a lifetime (the
     /// load ended before the batteries died under every policy).
@@ -238,6 +260,8 @@ pub struct OptimalScheduler {
     memoize: bool,
     dominance: bool,
     availability: bool,
+    /// Entries the search's envelope memo may store.
+    envelope_cap: usize,
 }
 
 impl Default for OptimalScheduler {
@@ -251,7 +275,13 @@ impl OptimalScheduler {
     /// (memoization + dominance + the availability bound) enabled.
     #[must_use]
     pub fn new() -> Self {
-        Self { budget: DEFAULT_BUDGET, memoize: true, dominance: true, availability: true }
+        Self {
+            budget: DEFAULT_BUDGET,
+            memoize: true,
+            dominance: true,
+            availability: true,
+            envelope_cap: MAX_ENVELOPE_ENTRIES,
+        }
     }
 
     /// Creates a scheduler with an explicit node budget. The search fails
@@ -270,7 +300,7 @@ impl OptimalScheduler {
     /// pruned one in (far) fewer nodes.
     #[must_use]
     pub fn reference() -> Self {
-        Self { budget: DEFAULT_BUDGET, memoize: false, dominance: false, availability: false }
+        Self { memoize: false, dominance: false, availability: false, ..Self::new() }
     }
 
     /// Disables the transposition table (for ablation and equivalence
@@ -304,6 +334,14 @@ impl OptimalScheduler {
     /// kept only for callers written against the ablation it once was.
     #[must_use]
     pub fn without_relax_bound(self) -> Self {
+        self
+    }
+
+    /// Caps the search's envelope memo at `cap` entries; 0 rebuilds every
+    /// envelope on every evaluation, the memo-free search.
+    #[cfg(test)]
+    fn with_envelope_cap(mut self, cap: usize) -> Self {
+        self.envelope_cap = cap;
         self
     }
 
@@ -390,6 +428,7 @@ impl OptimalScheduler {
             dominance_prunes: search.dominance_prunes,
             charge_bound_prunes: search.charge_bound_prunes,
             availability_bound_prunes: search.availability_bound_prunes,
+            envelope_builds: search.envelopes.builds,
             seeded_by,
         })
     }
@@ -494,13 +533,22 @@ fn root_columns<M: BatteryModel>(load: &DiscretizedLoad, model: &mut M) -> Optio
         return None;
     }
     let mut builder = ColumnBuilder::default();
-    let mut columns = Vec::with_capacity(battery_count);
+    let mut columns: Vec<ServiceColumn> = Vec::with_capacity(battery_count);
     let mut alive: u64 = 0;
     for battery in 0..battery_count {
         let (state, params, recovery) = model.column_inputs(battery)?;
         alive += u64::from(!state.is_observed_empty());
-        let mut column = ServiceColumn::default();
-        builder.build(state, params, recovery, load.epochs(), 0, &mut column);
+        // A column depends only on the battery's type and state: a battery
+        // identical to an earlier one (every same-type battery of a fresh
+        // fleet) copies that battery's column instead of rerunning the DP.
+        let column = match (0..battery).find(|&earlier| model.states_identical(earlier, battery)) {
+            Some(earlier) => columns[earlier].clone(),
+            None => {
+                let mut column = ServiceColumn::default();
+                builder.build(state, params, recovery, load.epochs(), 0, &mut column);
+                column
+            }
+        };
         columns.push(column);
     }
     Some(RootColumns { columns, alive })
@@ -710,6 +758,72 @@ struct Frame {
     next_candidate: usize,
 }
 
+/// One search's service envelopes, keyed by `(battery type, charge units,
+/// height units)`: the inputs [`BatteryModel::service_inputs`] reports,
+/// which with the search's fixed largest draw determine the envelope.
+/// Dropped with the search.
+struct EnvelopeMemo {
+    /// Key → index of the stored envelope in `arena`.
+    index: FxMap<(usize, u32, u32), usize>,
+    /// `arena[..index.len()]` holds the stored envelopes, each at its exact
+    /// length. Once the memo is full, `arena[cap + battery]` is battery's
+    /// scratch slot for the misses it no longer stores.
+    arena: Vec<ServiceEnvelope>,
+    /// Build buffer of stored envelopes (its capacity is reused; the arena
+    /// keeps a right-sized clone).
+    scratch: ServiceEnvelope,
+    /// Most envelopes stored.
+    cap: usize,
+    /// Envelopes built (memo misses).
+    builds: usize,
+}
+
+impl EnvelopeMemo {
+    fn new(cap: usize) -> Self {
+        Self {
+            index: FxMap::default(),
+            arena: Vec::new(),
+            scratch: ServiceEnvelope::new(),
+            cap,
+            builds: 0,
+        }
+    }
+
+    /// Battery `battery`'s current service envelope, as its type's table
+    /// and the envelope's index in `arena` (valid until the next call for
+    /// the same battery), building it on a miss. `None` when the backend
+    /// cannot bound service.
+    fn resolve<'m, M: BatteryModel>(
+        &mut self,
+        model: &'m M,
+        battery: usize,
+        max_units_per_draw: u32,
+    ) -> Option<(&'m ServiceRateTable, usize)> {
+        let (table, charge, height) = model.service_inputs(battery)?;
+        let key = (model.type_of(battery), charge, height);
+        if let Some(&slot) = self.index.get(&key) {
+            return Some((table, slot));
+        }
+        self.builds += 1;
+        let stored = self.index.len();
+        if stored < self.cap {
+            // Below the cap no scratch slot exists yet, so the arena holds
+            // exactly the stored envelopes.
+            debug_assert_eq!(self.arena.len(), stored, "scratch slots appear only at the cap");
+            table.build_envelope(charge, height, max_units_per_draw, &mut self.scratch);
+            self.arena.push(self.scratch.clone());
+            self.index.insert(key, stored);
+            return Some((table, stored));
+        }
+        let slot = self.cap + battery;
+        if self.arena.len() <= slot {
+            self.arena.resize_with(slot + 1, ServiceEnvelope::new);
+        }
+        table.build_envelope(charge, height, max_units_per_draw, &mut self.arena[slot]);
+        Some((table, slot))
+    }
+}
+
 struct Search<'a, M: BatteryModel> {
     model: &'a mut M,
     epochs: &'a [DiscreteEpoch],
@@ -736,8 +850,8 @@ struct Search<'a, M: BatteryModel> {
     candidates: Vec<usize>,
     /// Reusable availability buffer.
     avail: Vec<usize>,
-    /// Reusable per-battery service envelopes for the availability bound.
-    envelopes: Vec<ServiceEnvelope>,
+    /// The availability bound's service envelopes, each built once.
+    envelopes: EnvelopeMemo,
     /// Per-battery envelope cursors of the availability walk (windows and
     /// demands are queried in non-decreasing order, so each cursor only
     /// moves forward).
@@ -794,7 +908,7 @@ impl<'a, M: BatteryModel> Search<'a, M> {
             pool: Vec::new(),
             candidates: Vec::new(),
             avail: Vec::new(),
-            envelopes: Vec::new(),
+            envelopes: EnvelopeMemo::new(scheduler.envelope_cap),
             cursors: Vec::new(),
             cursors_mark: Vec::new(),
             seen: FxMap::default(),
@@ -1065,7 +1179,7 @@ impl<M: BatteryModel> Search<'_, M> {
     /// *some* battery, so the cumulative demand up to any draw instant can
     /// never exceed the fleet's joint service capability over that window
     /// — the sum of the per-battery recovery-coupled service envelopes
-    /// ([`BatteryModel::service_envelope_into`]), each also paced by the
+    /// ([`BatteryModel::service_inputs`]), each also paced by the
     /// demand delivered so far (a battery's recovery state only climbs by
     /// serving). The walk checks that necessary condition at the last draw
     /// of every remaining job epoch and, once it fails, locates the last
@@ -1080,24 +1194,22 @@ impl<M: BatteryModel> Search<'_, M> {
         if battery_count > MAX_BOUND_BATTERIES {
             return u64::MAX;
         }
-        if self.envelopes.len() < battery_count {
-            self.envelopes.resize_with(battery_count, ServiceEnvelope::new);
-        }
         let mut tables: [Option<&ServiceRateTable>; MAX_BOUND_BATTERIES] =
             [None; MAX_BOUND_BATTERIES];
-        for (battery, slot) in tables.iter_mut().enumerate().take(battery_count) {
-            match self.model.service_envelope_into(
-                battery,
-                self.max_units_per_draw,
-                &mut self.envelopes[battery],
-            ) {
-                Some(table) => *slot = Some(table),
+        let mut slots = [0usize; MAX_BOUND_BATTERIES];
+        let model: &M = self.model;
+        for battery in 0..battery_count {
+            match self.envelopes.resolve(model, battery, self.max_units_per_draw) {
+                Some((table, slot)) => {
+                    tables[battery] = Some(table);
+                    slots[battery] = slot;
+                }
                 None => return u64::MAX,
             }
         }
         self.cursors.clear();
         self.cursors.resize(battery_count, EnvelopeCursor::default());
-        let envelopes = &self.envelopes;
+        let envelopes = &self.envelopes.arena;
         let cursors = &mut self.cursors;
         let marks = &mut self.cursors_mark;
         let fleet_units = |cursors: &mut [EnvelopeCursor], window: u64, demand: u64| -> u64 {
@@ -1108,7 +1220,7 @@ impl<M: BatteryModel> Search<'_, M> {
                 #[cfg(debug_assertions)]
                 let cursor_before = cursors[battery];
                 total = total.saturating_add(table.units_within(
-                    &envelopes[battery],
+                    &envelopes[slots[battery]],
                     &mut cursors[battery],
                     window,
                     demand,
@@ -1179,9 +1291,11 @@ mod tests {
     use crate::policy::{BestAvailable, FixedSchedule, RoundRobin};
     use crate::system::simulate_policy;
     use dkibam::Discretization;
-    use kibam::BatteryParams;
+    use kibam::{BatteryParams, FleetSpec};
+    use std::collections::BTreeSet;
     use workload::builder::LoadProfileBuilder;
     use workload::paper_loads::TestLoad;
+    use workload::random::SplitMix64;
 
     /// A coarse two-battery configuration that keeps the exhaustive search
     /// small enough for unit tests while preserving the model behaviour.
@@ -1334,6 +1448,108 @@ mod tests {
         let outcome =
             crate::system::simulate_policy_with(&config, &load, &mut replay, &mut model).unwrap();
         assert_eq!(outcome.lifetime_steps(), Some(optimal.lifetime_steps));
+    }
+
+    /// Every memo lookup returns exactly the envelope a fresh build gives
+    /// for the battery's state, retired batteries built from zero charge.
+    /// The states come from seeded random schedules on B1/B2 fleets at the
+    /// coarse grid, run until every battery has retired.
+    #[test]
+    fn memoized_envelopes_equal_fresh_builds() {
+        let disc = Discretization::coarse();
+        let (b1, b2) = (BatteryParams::itsy_b1(), BatteryParams::itsy_b2());
+        let max_units_per_draw = 2;
+        let mut fresh = ServiceEnvelope::new();
+        for fleet in [vec![b1, b2, b1], vec![b2, b2]] {
+            let config = SystemConfig::from_fleet(FleetSpec::new(fleet).unwrap(), disc);
+            let mut model = config.discretized_model();
+            // Tables built here, not taken from the backend, so the check
+            // does not lean on the inputs it is checking.
+            let tables: Vec<ServiceRateTable> = (0..model.battery_count())
+                .map(|b| ServiceRateTable::for_battery(model.column_inputs(b).unwrap().1, &disc))
+                .collect();
+            let mut memo = EnvelopeMemo::new(MAX_ENVELOPE_ENTRIES);
+            let (mut lookups, mut stranded) = (0usize, 0usize);
+            let (mut live_slots, mut retired_slots) = (BTreeSet::new(), BTreeSet::new());
+            let mut available = Vec::new();
+            let mut rng = SplitMix64::new(0x5eed_e7e1);
+            for _ in 0..40 {
+                model.reset();
+                while model.any_available() {
+                    model.available_into(&mut available);
+                    let battery = available[rng.next_index(available.len())];
+                    let steps = 1 + rng.next_u64() % 60;
+                    let interval = [2, 4][rng.next_index(2)];
+                    let units = 1 + u32::from(rng.next_u64() % 2 == 0);
+                    model.advance_job(battery, steps, interval, units).unwrap();
+                    if rng.next_index(3) == 0 {
+                        model.advance_idle(rng.next_u64() % 40);
+                    }
+                    for (b, expected_table) in tables.iter().enumerate() {
+                        let (table, slot) = memo.resolve(&model, b, max_units_per_draw).unwrap();
+                        let (state, _, _) = model.column_inputs(b).unwrap();
+                        let retired = state.is_observed_empty();
+                        let charge = if retired { 0 } else { state.charge_units() };
+                        expected_table.build_envelope(
+                            charge,
+                            state.height_units(),
+                            max_units_per_draw,
+                            &mut fresh,
+                        );
+                        assert_eq!(table, expected_table, "battery {b}: the backend's table");
+                        assert_eq!(memo.arena[slot], fresh, "battery {b} at {state:?}");
+                        lookups += 1;
+                        if retired {
+                            stranded += usize::from(state.charge_units() > 0);
+                            retired_slots.insert(slot);
+                        } else {
+                            live_slots.insert(slot);
+                        }
+                    }
+                }
+            }
+            assert!(
+                retired_slots.is_disjoint(&live_slots),
+                "a retired battery resolved to a live battery's envelope"
+            );
+            assert!(stranded > 0, "retired batteries strand charge, so the zero rule is exercised");
+            assert!(memo.builds * 2 < lookups, "states recur ({} of {lookups})", memo.builds);
+        }
+    }
+
+    /// The memo only saves rebuilds: with it off (cap 0) or full after a
+    /// few entries, the search returns the same outcome in every field but
+    /// the build count.
+    #[test]
+    fn the_envelope_memo_leaves_the_search_unchanged() {
+        let disc = Discretization::coarse();
+        let mixed = SystemConfig::from_fleet(
+            FleetSpec::new(vec![BatteryParams::itsy_b1(), BatteryParams::itsy_b2()]).unwrap(),
+            disc,
+        );
+        for (label, config, load) in [
+            ("2xB1 ILs alt", coarse_config(), TestLoad::IlsAlt),
+            ("B1+B2 ILs alt", mixed, TestLoad::IlsAlt),
+            ("2xB1 ILs 250", coarse_config(), TestLoad::Ils250),
+        ] {
+            let profile = load.profile();
+            let memoized = OptimalScheduler::new().find_optimal(&config, &profile).unwrap();
+            for cap in [0, 8] {
+                let capped = OptimalScheduler::new()
+                    .with_envelope_cap(cap)
+                    .find_optimal(&config, &profile)
+                    .unwrap();
+                assert!(
+                    capped.envelope_builds > memoized.envelope_builds,
+                    "{label}, cap {cap}: a capped memo rebuilds"
+                );
+                assert_eq!(
+                    OptimalOutcome { envelope_builds: memoized.envelope_builds, ..capped },
+                    memoized,
+                    "{label}, cap {cap}: the memo changed the search"
+                );
+            }
+        }
     }
 
     #[test]

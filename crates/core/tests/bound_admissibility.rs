@@ -139,7 +139,8 @@ fn three_battery_bound_is_admissible() {
 /// The frontier golden: 3×B1 on the alternating load. The charge bound
 /// never fires here (the load strands ~70 % of the charge), so the whole
 /// reduction against the charge-only search is the availability bound's
-/// doing. Values are pinned exactly — node counts are deterministic.
+/// doing. Values are pinned exactly — node counts and envelope builds are
+/// deterministic.
 #[test]
 fn three_b1_alternating_frontier_is_pinned() {
     let config = coarse_uniform(3);
@@ -155,6 +156,10 @@ fn three_b1_alternating_frontier_is_pinned() {
     assert_eq!(charge_only.nodes_explored, 208_504, "charge-only node count");
     assert_eq!(full.charge_bound_prunes, 0, "the charge bound never fires on ILs alt");
     assert!(full.availability_bound_prunes > 5_000, "the availability bound carries the search");
+    // Three envelopes per availability evaluation, but the search's states
+    // repeat: each distinct (type, charge, height) is built once.
+    assert_eq!(full.envelope_builds, 356, "distinct service envelopes built");
+    assert_eq!(charge_only.envelope_builds, 0, "the charge-only search builds none");
     assert_eq!(full.seeded_by, Some("round robin"));
 }
 

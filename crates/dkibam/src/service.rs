@@ -33,11 +33,15 @@
 //! [`ServiceRateTable::build_envelope`] bakes the state-dependent parts
 //! into a [`ServiceEnvelope`]; [`ServiceRateTable::units_within`] then
 //! answers `(Δ, D)` queries against it in amortized constant time via a
-//! monotone [`EnvelopeCursor`]. The `battery-sched` search sums these
-//! per-battery envelopes into an availability-aware upper bound on the
-//! remaining system lifetime; admissibility (the envelope may never
-//! undercount what a real schedule serves) is asserted against brute-force
-//! single-battery service enumeration in this module's tests.
+//! monotone [`EnvelopeCursor`]. An envelope is a pure function of its
+//! table, the battery's charge and height units and the load's largest
+//! draw, and queries never mutate it, so one built envelope serves every
+//! battery and every node that reaches the same `(n, m)`: the
+//! `battery-sched` search builds each distinct envelope once per search
+//! and sums them into an availability-aware upper bound on the remaining
+//! system lifetime. Admissibility (the envelope may never undercount what
+//! a real schedule serves) is asserted against brute-force single-battery
+//! service enumeration in this module's tests.
 
 use crate::{Discretization, RecoveryTable};
 use kibam::BatteryParams;
@@ -341,85 +345,6 @@ impl ServiceRateTable {
         );
         envelope.units_at[cursor.recovered].min(demand_units)
     }
-
-    /// The largest recovery count `r` whose first `r` units fit in
-    /// `window_steps` under demand cap `demand_units`
-    /// ([`ServiceRateTable::recovery_time`] is non-decreasing in `r`, so
-    /// this is a plain binary search — no monotone cursor required).
-    fn max_recoveries_within(
-        &self,
-        envelope: &ServiceEnvelope,
-        window_steps: u64,
-        demand_units: u64,
-    ) -> usize {
-        if envelope.units_at.is_empty() {
-            return 0;
-        }
-        let mut lo = 0usize;
-        let mut hi = envelope.units_at.len() - 1;
-        while lo < hi {
-            let mid = lo + (hi - lo).div_ceil(2);
-            if self.recovery_time(envelope, mid, demand_units) <= window_steps {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        lo
-    }
-
-    /// **Self-paced** upper bound on the units this battery can serve
-    /// within `window_steps`, independent of the load's demand.
-    ///
-    /// [`ServiceRateTable::units_within`] paces recoveries by the *load's*
-    /// delivered units `D` — loose when many batteries share the load,
-    /// because a battery's height difference only climbs by its **own**
-    /// serves. If the battery itself serves `s` units in the window, its
-    /// recoveries are paced by `s`, so `s` must satisfy `s ≤ g(s)` where
-    /// `g(s)` is the envelope evaluated with demand cap `s`. `g` is
-    /// monotone non-decreasing (larger demand → higher climb → cheaper
-    /// recoveries) and `g(s) ≤ s` by the demand cap, so iterating
-    /// `s ← g(s)` downward from the unbounded-demand value converges to
-    /// the **greatest** fixed point — every true serve count is a fixed
-    /// point candidate below the start and can never be stepped over
-    /// (`s_k ≥ s* ⇒ g(s_k) ≥ g(s*) ≥ s*`). Admissibility against the real
-    /// discrete dynamics is brute-force-checked in this module's tests.
-    ///
-    /// On the paper's battery types the frontier ladder already prices
-    /// recoveries at heights reachable only by serving, so this cap
-    /// coincides with the unbounded-demand envelope there; it is kept as a
-    /// cheap guard for parameterizations where the ladder is looser.
-    #[must_use]
-    pub fn self_paced_units(&self, envelope: &ServiceEnvelope, window_steps: u64) -> u64 {
-        let mut cursor = EnvelopeCursor::default();
-        self.self_paced_units_with(envelope, &mut cursor, window_steps)
-    }
-
-    /// [`ServiceRateTable::self_paced_units`] seeded by a monotone cursor:
-    /// the unbounded-demand start of the fixed-point iteration advances
-    /// the cursor (amortized O(1) over non-decreasing windows); the
-    /// downward iteration itself runs on binary searches and leaves the
-    /// cursor at the unbounded frontier.
-    #[must_use]
-    pub fn self_paced_units_with(
-        &self,
-        envelope: &ServiceEnvelope,
-        cursor: &mut EnvelopeCursor,
-        window_steps: u64,
-    ) -> u64 {
-        if envelope.units_at.is_empty() {
-            return 0;
-        }
-        let mut serves = self.units_within(envelope, cursor, window_steps, u64::MAX);
-        loop {
-            let r = self.max_recoveries_within(envelope, window_steps, serves);
-            let paced = envelope.units_at[r].min(serves);
-            if paced >= serves {
-                return serves;
-            }
-            serves = paced;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -572,57 +497,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn self_paced_cap_never_undercounts_brute_force_service() {
-        // The self-paced bound drops the load-demand crutch entirely — its
-        // admissibility rests on the greatest-fixed-point argument, so
-        // check it against the same exhaustive serve/skip enumeration.
-        let (params, disc, table) = b1_coarse();
-        let recovery = RecoveryTable::for_battery(&params, &disc);
-        let mut env = ServiceEnvelope::new();
-        for interval in [2u64, 4] {
-            let slots = 11u32;
-            for (n, m) in [(110, 0), (110, 18), (80, 14), (60, 11), (30, 5), (20, 3), (8, 1)] {
-                let best = max_served(
-                    DiscreteBattery::from_units(n, m),
-                    &params,
-                    &recovery,
-                    interval,
-                    slots,
-                );
-                table.build_envelope(n, m, 1, &mut env);
-                let window = u64::from(slots) * interval;
-                let bound = table.self_paced_units(&env, window);
-                assert!(
-                    bound >= u64::from(best),
-                    "(n={n}, m={m}, interval={interval}): self-paced {bound} undercounts \
-                     brute force {best}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn self_paced_cap_tightens_the_demand_paced_envelope() {
-        let (_, _, table) = b1_coarse();
-        let mut env = ServiceEnvelope::new();
-        table.build_envelope(110, 0, 1, &mut env);
-        let mut previous = 0;
-        for window in [0u64, 20, 80, 200, 400, 1_000] {
-            let self_paced = table.self_paced_units(&env, window);
-            // Never looser than the unbounded-demand envelope...
-            assert!(self_paced <= units_at_window(&table, &env, window));
-            // ...and monotone in the window.
-            assert!(self_paced >= previous, "window {window}: self-paced cap not monotone");
-            previous = self_paced;
-        }
-        // Note: on the paper's battery types the two sides coincide — the
-        // frontier ladder already prices recoveries at heights the battery
-        // can only reach by serving, so the climb cap is implied. The cap
-        // stays as a cheap guard for chemistries where the ladder is
-        // looser; admissibility is what the brute-force test above pins.
     }
 
     /// Brute force: the most draws a single battery can serve among the

@@ -12,7 +12,11 @@
 //!   is each bound before a single node is explored?), and
 //! * the default search against the charge-only search (what does the
 //!   availability bound buy in nodes, and in wall time?), with the
-//!   within-run wall-time ratio default / charge-only.
+//!   within-run wall-time ratio default / charge-only, and
+//! * per search, the service envelopes the availability bound built
+//!   (`envelopes`): each distinct `(type, charge, height)` is built once
+//!   per search and looked up afterwards, so this counts distinct battery
+//!   states, not bound evaluations (0 for the charge-only search).
 //!
 //! ```text
 //! cargo run --release --example frontier_probe [NODE_BUDGET] [--smoke]
@@ -97,13 +101,14 @@ fn main() {
                     wall[slot] = Some(ms);
                     println!(
                         "  {name:>8} {which:>7}: {} steps, {} nodes, memo {}, dom {}, charge {}, \
-                         avail {}, seeded {:?}, {ms:.1} ms",
+                         avail {}, envelopes {}, seeded {:?}, {ms:.1} ms",
                         outcome.lifetime_steps,
                         outcome.nodes_explored,
                         outcome.memo_hits,
                         outcome.dominance_prunes,
                         outcome.charge_bound_prunes,
                         outcome.availability_bound_prunes,
+                        outcome.envelope_builds,
                         outcome.seeded_by,
                     );
                 }
